@@ -84,7 +84,7 @@ def _assemble(p: EigenProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         nm1 = kern.dim - 1
         ri = nodes[1:m + 1]
         G[1:m + 1, m + 1] = (p.L / ri) ** nm1 * G[m + 1, 1:m + 1]
-        G[0, m + 1] = kmod.unit_sphere_area(kern.dim) * p.L ** nm1 * float(kern(p.L))
+        G[0, m + 1] = kmod.j_tilde_center(kern, p.L)
     return nodes, w, G
 
 

@@ -33,13 +33,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from .errors import KernelValidationError, SolvabilityError
-from .quadrature import (
-    geometric_edges,
-    gl_integrate,
-    gl_panels,
-    gl_rule,
-    graded_edges_around,
-)
+from .quadrature import gl_integrate, gl_panels, gl_rule, graded_edges_around
 
 COMPACT = "compact"
 FAT_TAIL = "fat_tail"
@@ -428,6 +422,11 @@ def _j_tilde_panels(kernel: RadialKernel, r: float, rho: np.ndarray,
     return unit_sphere_area(n - 1) * rho ** (n - 1) * acc
 
 
+def j_tilde_center(kernel: RadialKernel, rho):
+    """Jtilde(0, rho) = w_N rho^{N-1} J(rho), exact: J is constant on the sphere."""
+    return unit_sphere_area(kernel.dim) * rho ** (kernel.dim - 1) * kernel(rho)
+
+
 def j_tilde_row(kernel: RadialKernel, r: float, rho, order: int = DEFAULT_ORDER) -> np.ndarray:
     """Jtilde(r, rho) for a fixed r and an array of sphere radii rho."""
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
@@ -436,9 +435,7 @@ def j_tilde_row(kernel: RadialKernel, r: float, rho, order: int = DEFAULT_ORDER)
     if not np.any(pos):
         return out
     if r == 0.0:
-        # exact: the integrand is constant on the sphere
-        rp = rho[pos]
-        out[pos] = unit_sphere_area(kernel.dim) * rp ** (kernel.dim - 1) * kernel(rp)
+        out[pos] = j_tilde_center(kernel, rho[pos])
         return out
     rp = rho[pos]
     if kernel.kind == COMPACT:
@@ -606,7 +603,3 @@ def boundary_flux(kernel: RadialKernel, h: float, order: int = 24) -> float:
         total += half * float(np.dot(gw, vals))
     return total
 
-
-def flux_limit_check(kernel: RadialKernel, h_values) -> list[tuple[float, float]]:
-    """Tabulate (h, F(h)) over the given boundary radii."""
-    return [(float(h), boundary_flux(kernel, float(h))) for h in h_values]

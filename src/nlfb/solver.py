@@ -97,18 +97,9 @@ def _quad_weights(m: int, dr: float, h: float) -> np.ndarray:
 
 def _tail_vector(tables: KernelTables, m: int, h: float) -> np.ndarray:
     """T(r_i, h) for i <= m, interpolated between the bracketing columns."""
-    dr = tables.dr
-    frac = (h - m * dr) / dr
-    if tables.banded:
-        t_lo = np.zeros(m + 1)
-        t_hi = np.zeros(m + 1)
-        start = max(m - tables.bw, 0)
-        for i in range(start, m + 1):
-            t_lo[i] = tables.tail_mass(i, m)
-            t_hi[i] = tables.tail_mass(i, m + 1)
-    else:
-        t_lo = tables.tail_mass_vector(m + 1, m)
-        t_hi = tables.tail_mass_vector(m + 1, m + 1)
+    frac = (h - m * tables.dr) / tables.dr
+    t_lo = tables.tail_mass_vector(m + 1, m)
+    t_hi = tables.tail_mass_vector(m + 1, m + 1)
     return t_lo + frac * (t_hi - t_lo)
 
 

@@ -3,14 +3,30 @@
 KernelTables holds Jtilde(r_i, rho_j) sampled on the uniform grid
 r_i = i * dr.  Compactly supported kernels store only the diagonal band
 |r - rho| < support_radius (everything else is exactly zero); fat-tail
-kernels store dense rows.  Rows are filled lazily under a lock so that
-completed rows can be read concurrently, and a finished table can be
-persisted to a small binary cache file.
+kernels store a dense square block of rows and columns below
+rows_filled.  Rows are filled lazily under a lock so that completed
+rows can be read concurrently.
+
+A new dense row i gets only its lower triangle j <= i by quadrature;
+row 0 is the exact center formula, and the upper triangle is mirrored
+through the symmetry identity
+
+    r^{N-1} Jtilde(r, rho) = rho^{N-1} Jtilde(rho, r),
+
+so growing the table copies the filled block and never evaluates old
+rows again.
+
+A table can be persisted to a small binary cache file (format v2): a
+header naming the kernel, grid and block shape, the stored block row
+by row (band rows of width 2*bw + 1, or dense rows over the columns
+below rows_filled), then the dense kink corrections.  save() writes a
+temporary file and renames it into place; load() validates the whole
+file before adopting anything.
 """
 
 from __future__ import annotations
 
-import io
+import contextlib
 import os
 import struct
 import threading
@@ -20,7 +36,9 @@ import numpy as np
 from . import kernels as kmod
 from .kernels import RadialKernel
 
-MAGIC = b"NLFBKT1\x00"
+MAGIC = b"NLFBKT2\x00"
+#: dim, dr, kernel hash, rows, banded flag, stored row width, kink corrections
+_HEADER = struct.Struct("<id16siiii")
 #: Gauss-Legendre order per angular panel when sampling table entries
 FILL_ORDER = 48
 
@@ -61,24 +79,31 @@ class KernelTables:
     # -- storage ------------------------------------------------------------
 
     def _row_cols(self, i: int) -> tuple[int, int]:
-        """Inclusive column range holding the nonzero entries of row i."""
-        if self.banded:
-            return max(i - self.bw, 0), i + self.bw
-        return 0, self._cap - 1
+        """Inclusive column range of band row i."""
+        return max(i - self.bw, 0), i + self.bw
 
     def _fill_row(self, i: int) -> None:
         lo, hi = self._row_cols(i)
         rho = np.arange(lo, hi + 1) * self.dr
         vals = kmod.j_tilde_row(self.kernel, i * self.dr, rho, FILL_ORDER)
-        if self.banded:
-            self._data[i, lo - (i - self.bw):lo - (i - self.bw) + vals.size] = vals
-        else:
-            self._data[i, lo:hi + 1] = vals
+        self._data[i, lo - (i - self.bw):lo - (i - self.bw) + vals.size] = vals
+
+    def _fill_dense(self, start: int, stop: int) -> None:
+        """Rows and columns start..stop-1 of the dense block."""
+        data, dr, nm1 = self._data, self.dr, self.kernel.dim - 1
+        data[0, start:stop] = kmod.j_tilde_center(self.kernel, np.arange(start, stop) * dr)
+        for i in range(max(start, 1), stop):
+            j = np.arange(1, i + 1)
+            data[i, 1:i + 1] = kmod.j_tilde_row(self.kernel, i * dr, j * dr, FILL_ORDER)
+            # column i above the diagonal: r_j^{N-1} Jt(r_j, r_i) = r_i^{N-1} Jt(r_i, r_j)
+            data[1:i, i] = data[i, 1:i] * (i / j[:-1]) ** nm1
 
     def ensure(self, n_rows: int, n_cols: int | None = None) -> None:
-        """Fill rows 0..n_rows-1 (and, for dense tables, columns 0..n_cols-1)."""
-        if n_cols is None:
-            n_cols = n_rows
+        """Fill rows 0..n_rows-1 (and, for dense tables, columns 0..n_cols-1).
+
+        A dense table fills the square block of max(n_rows, n_cols) rows
+        and columns.
+        """
         with self._lock:
             if self.banded:
                 if n_rows > self._data.shape[0]:
@@ -91,24 +116,18 @@ class KernelTables:
                     self._fill_row(i)
                 self._rows_filled = max(self._rows_filled, n_rows)
                 return
-            # dense: grow capacity, then fill the new column strip of old rows
-            need_cap = max(n_rows, n_cols)
-            if need_cap > self._cap:
-                new_cap = max(need_cap, int(1.5 * self._cap) + 16)
+            n = n_rows if n_cols is None else max(n_rows, n_cols)
+            filled = self._rows_filled
+            if n <= filled:
+                return
+            if n > self._cap:
+                new_cap = max(n, int(1.5 * self._cap) + 16)
                 grown = np.zeros((new_cap, new_cap))
-                grown[:self._rows_filled, :self._cap] = \
-                    self._data[:self._rows_filled, :self._cap]
-                old_cap = self._cap
+                grown[:filled, :filled] = self._data[:filled, :filled]
                 self._data = grown
                 self._cap = new_cap
-                if self._rows_filled and old_cap:
-                    rho = np.arange(old_cap, new_cap) * self.dr
-                    for i in range(self._rows_filled):
-                        self._data[i, old_cap:new_cap] = kmod.j_tilde_row(
-                            self.kernel, i * self.dr, rho, FILL_ORDER)
-            for i in range(self._rows_filled, n_rows):
-                self._fill_row(i)
-            self._rows_filled = max(self._rows_filled, n_rows)
+            self._fill_dense(filled, n)
+            self._rows_filled = n
 
     @property
     def rows_filled(self) -> int:
@@ -181,24 +200,20 @@ class KernelTables:
             corr = np.empty(n)
             corr[:old.size] = old
             x, gw = gl_rule(32)
-            width = max(2.0, 4.0 * self.dr)
+            reach = int(round(max(2.0, 4.0 * self.dr) / self.dr))
             for i in range(old.size, n):
                 r = i * self.dr
-                a_idx = max(0, i - int(round(width / self.dr)))
-                b_idx = i + int(round(width / self.dr))
-                a, b = a_idx * self.dr, b_idx * self.dr
+                a_idx, b_idx = max(0, i - reach), i + reach
                 grid = kmod.j_tilde_row(
                     self.kernel, r, np.arange(a_idx, b_idx + 1) * self.dr,
                     FILL_ORDER)
                 trap = float(np.trapezoid(grid, dx=self.dr))
-                acc = 0.0
-                edges = graded_edges_around(r, a, b, first=self.dr / 4.0)
-                for lo, hi in zip(edges[:-1], edges[1:]):
-                    half = 0.5 * (hi - lo)
-                    nodes = lo + half * (x + 1.0)
-                    acc += half * float(np.dot(
-                        gw, kmod.j_tilde_row(self.kernel, r, nodes, 32)))
-                corr[i] = acc - trap
+                edges = graded_edges_around(r, a_idx * self.dr, b_idx * self.dr,
+                                            first=self.dr / 4.0)
+                half = 0.5 * np.diff(edges)
+                nodes = edges[:-1, None] + half[:, None] * (x + 1.0)
+                vals = kmod.j_tilde_row(self.kernel, r, nodes.ravel(), 32)
+                corr[i] = float(np.dot(half, vals.reshape(nodes.shape) @ gw)) - trap
             self._kink_corr = corr
             return self._kink_corr[:n]
 
@@ -260,7 +275,20 @@ class KernelTables:
             interior = self._data[:n, :j + 1] @ w
             corr = self._kink_corrections(n) * self._corr_ramp(np.arange(n), j)
             return np.clip(1.0 - interior - corr, 0.0, 1.0)
-        return np.array([self.tail_mass(i, j) for i in range(n)])
+        out = np.zeros(n)
+        # rows i <= j - bw end at or before column j and leak nothing
+        first = max(j - self.bw + 1, 0)
+        if first >= n:
+            return out
+        self.ensure(n)
+        band = self._data[first:n]
+        rows = np.arange(n - first)
+        # band index of column j, or of the row's first column when j lies left of it
+        k = np.maximum(j - first - rows + self.bw, 0)
+        beyond = np.cumsum(band[:, ::-1], axis=1)[:, ::-1]  # beyond[:, k] = band[:, k:].sum()
+        tail = beyond[rows, k] - 0.5 * band[rows, k]
+        out[first:] = np.clip(self.dr * tail / self.row_mass(n)[first:], 0.0, 1.0)
+        return out
 
     # -- the 1-D marginal on the same grid ------------------------------------
 
@@ -281,69 +309,69 @@ class KernelTables:
 
     # -- persistence ----------------------------------------------------------
 
+    def _row_width(self, n_rows: int) -> int:
+        """Stored entries per row of an n_rows-row block."""
+        return 2 * self.bw + 1 if self.banded else n_rows
+
     def save(self, path: str) -> None:
-        with self._lock, open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<id16sii", self.kernel.dim, self.dr,
-                                 self.kernel.hash().encode(), self._rows_filled,
-                                 1 if self.banded else 0))
-            fh.write(struct.pack("<i", self.bw if self.banded else self._cap))
-            for i in range(self._rows_filled):
-                lo, hi = self._row_cols(i)
-                if self.banded:
-                    off = i - self.bw
-                    vals = self._data[i, lo - off:hi - off + 1]
-                else:
-                    vals = self._data[i, lo:hi + 1]
-                fh.write(struct.pack("<ii", lo, vals.size))
-                fh.write(np.asarray(vals, dtype="<f8").tobytes())
+        """Write the filled rows and kink corrections to path atomically."""
+        tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+        try:
+            with open(tmp, "wb") as fh, self._lock:
+                n = self._rows_filled
+                width = self._row_width(n)
+                block = self._data[:n, :width]
+                fh.write(MAGIC)
+                fh.write(_HEADER.pack(self.kernel.dim, self.dr,
+                                      self.kernel.hash().encode(), n,
+                                      int(self.banded), width, self._kink_corr.size))
+                fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+                fh.write(np.asarray(self._kink_corr, dtype="<f8").tobytes())
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+
+    def _parse(self, raw: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+        """(block, kink corrections) from a cache file, or None if it does not fit."""
+        head = len(MAGIC) + _HEADER.size
+        if len(raw) < head or raw[:len(MAGIC)] != MAGIC:
+            return None
+        dim, dr, khash, nrows, banded, width, ncorr = _HEADER.unpack_from(raw, len(MAGIC))
+        if (dim != self.kernel.dim or abs(dr - self.dr) > 1e-15
+                or khash != self.kernel.hash().encode()
+                or bool(banded) != self.banded
+                or nrows < 0 or ncorr < 0 or width != self._row_width(nrows)
+                or len(raw) != head + 8 * (nrows * width + ncorr)):
+            return None
+        vals = np.frombuffer(raw, dtype="<f8", offset=head).astype(float)
+        if not np.all(np.isfinite(vals)):
+            return None
+        return vals[:nrows * width].reshape(nrows, width), vals[nrows * width:]
 
     def load(self, path: str) -> bool:
         """Adopt cached rows if the file matches this kernel and grid.
 
-        Returns True when rows were loaded; a mismatched or corrupt file
-        is ignored (the table just refills from scratch).
+        Returns True when rows were loaded; a mismatched, truncated or
+        corrupt file is ignored and leaves the table as it was (it just
+        refills from scratch).
         """
         try:
             with open(path, "rb") as fh:
                 raw = fh.read()
         except OSError:
             return False
-        buf = io.BytesIO(raw)
-        if buf.read(8) != MAGIC:
+        parsed = self._parse(raw)
+        if parsed is None:
             return False
-        try:
-            dim, dr, khash, nrows, banded = struct.unpack("<id16sii", buf.read(36))
-            (geom,) = struct.unpack("<i", buf.read(4))
-        except struct.error:
-            return False
-        if (dim != self.kernel.dim or abs(dr - self.dr) > 1e-15
-                or khash.decode() != self.kernel.hash()
-                or bool(banded) != self.banded
-                or geom != (self.bw if self.banded else geom)):
-            return False
+        block, corr = parsed
         with self._lock:
-            if self.banded:
-                self._data = np.zeros((max(nrows, 16), 2 * self.bw + 1))
-            else:
-                self._cap = geom
-                self._data = np.zeros((geom, geom))
-                if nrows > geom:
-                    return False
-            for i in range(nrows):
-                try:
-                    lo, cnt = struct.unpack("<ii", buf.read(8))
-                    vals = np.frombuffer(buf.read(8 * cnt), dtype="<f8")
-                except struct.error:
-                    return False
-                if vals.size != cnt:
-                    return False
-                if self.banded:
-                    off = i - self.bw
-                    self._data[i, lo - off:lo - off + cnt] = vals
-                else:
-                    self._data[i, lo:lo + cnt] = vals
-            self._rows_filled = nrows
+            self._data = block
+            self._cap = 0 if self.banded else block.shape[0]
+            self._rows_filled = block.shape[0]
+            self._row_mass = np.zeros(0)
+            self._kink_corr = corr
         return True
 
     def cache_path(self, directory: str | None = None) -> str:

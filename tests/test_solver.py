@@ -7,7 +7,7 @@ import pytest
 from nlfb import (KernelTables, RunConfig, SimState, SolvabilityError,
                   SPREADING, UNDECIDED, VANISHING, classify, find_mu_star,
                   logistic, run, step, uniform_kernel)
-from nlfb.solver import _quad_weights, default_dt, initial_state
+from nlfb.solver import _quad_weights, _tail_vector, default_dt, initial_state
 
 
 def _cfg(**kw):
@@ -23,6 +23,24 @@ def test_quad_weights_sum():
     w = _quad_weights(10, 0.1, 1.04)
     assert w.size == 11
     assert abs(w.sum() - (1.0 + 0.04 / 2)) < 1e-14
+
+
+@pytest.mark.parametrize("dim, dr", [(2, 0.05), (3, 0.1)])
+def test_banded_tail_vector_matches_row_loop(dim, dr):
+    # the array expression over the band rows against one tail_mass call
+    # per row and column
+    tab = KernelTables(uniform_kernel(dim), dr)
+    for m in (0, 1, 5, tab.bw - 1, tab.bw, 40, 75):
+        for frac in (0.0, 0.3, 0.999):
+            h = (m + frac) * dr
+            t_lo, t_hi = np.zeros(m + 1), np.zeros(m + 1)
+            for i in range(max(m - tab.bw, 0), m + 1):
+                t_lo[i] = tab.tail_mass(i, m)
+                t_hi[i] = tab.tail_mass(i, m + 1)
+            expect = t_lo + frac * (t_hi - t_lo)
+            got = _tail_vector(tab, m, h)
+            assert got.shape == expect.shape
+            assert np.abs(got - expect).max() <= 1e-15, (m, frac)
 
 
 def test_step_preserves_equilibrium_interior(tables_disc2, logistic_f):

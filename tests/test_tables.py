@@ -1,11 +1,28 @@
 import os
+import struct
 import threading
 
 import numpy as np
 import pytest
 
-from nlfb import KernelTables, j_tilde, power_tail_kernel, uniform_kernel
-from nlfb.tables import cache_dir
+from nlfb import (KernelTables, j_tilde, j_tilde_row, kernels, power_tail_kernel,
+                  uniform_kernel)
+from nlfb.tables import FILL_ORDER, cache_dir
+
+
+@pytest.fixture()
+def count_rows(monkeypatch):
+    """Count j_tilde_row calls and the rho values they evaluate."""
+    seen = {"calls": 0, "entries": 0}
+    inner = kernels.j_tilde_row
+
+    def counting(kernel, r, rho, *args, **kw):
+        seen["calls"] += 1
+        seen["entries"] += np.size(rho)
+        return inner(kernel, r, rho, *args, **kw)
+
+    monkeypatch.setattr(kernels, "j_tilde_row", counting)
+    return seen
 
 
 def test_values_match_direct_evaluation(tables_disc2, disc2):
@@ -30,13 +47,37 @@ def test_dense_table_values():
         assert abs(tab.value(i, j) - direct) < 1e-8
 
 
-def test_dense_growth_backfills_columns():
+def test_dense_growth_mirrors_columns():
     k = power_tail_kernel(2, 3.5)
     tab = KernelTables(k, 0.25)
     tab.ensure(4, 4)
-    tab.ensure(40, 40)  # forces capacity growth and a column backfill
+    tab.ensure(40, 40)  # forces capacity growth; column 35 of row 2 is mirrored
     direct = j_tilde(k, 2 * 0.25, 35 * 0.25)
     assert abs(tab.value(2, 35) - direct) < 1e-8
+
+
+@pytest.mark.parametrize("dim, beta", [(2, 2.8), (3, 3.8)])
+def test_dense_triangle_fill_across_growth(dim, beta, count_rows):
+    k = power_tail_kernel(dim, beta)
+    dr = 0.25
+    tab = KernelTables(k, dr)
+    for n in (4, 17, 40, 90):  # 4 -> 17 and 40 -> 90 grow the capacity
+        tab.ensure(n, n)
+        assert tab.rows_filled == n
+    n = 90
+    assert count_rows["entries"] <= n * (n + 1) // 2 + n
+    pairs = [(0, 3), (0, 50), (0, 89), (3, 0), (60, 0), (2, 85), (85, 2),
+             (16, 17), (17, 16), (39, 41), (41, 39), (10, 10), (89, 89),
+             (30, 70), (70, 30)]
+    for i, j in pairs:
+        direct = j_tilde(k, i * dr, j * dr)
+        assert abs(tab.value(i, j) - direct) < 1e-8, (i, j)
+    # the mirrored upper triangle against direct quadrature of each row
+    for i in range(1, n - 1):
+        rho = np.arange(i + 1, n) * dr
+        direct = j_tilde_row(k, i * dr, rho, FILL_ORDER)
+        got = tab.row_values(i, n)[i + 1:]
+        assert np.all(np.abs(got - direct) <= 1e-13 * np.abs(direct)), i
 
 
 def test_row_mass_close_to_one(tables_disc2):
@@ -128,6 +169,66 @@ def test_cache_round_trip(tmp_path, disc2):
         assert fresh.value(i, j) == tab.value(i, j)
 
 
+def _write_v1(path, tab):
+    """A cache file in the retired v1 layout: per-row column offset and count."""
+    with open(path, "wb") as fh:
+        fh.write(b"NLFBKT1\x00")
+        fh.write(struct.pack("<id16sii", tab.kernel.dim, tab.dr,
+                             tab.kernel.hash().encode(), tab.rows_filled, 1))
+        fh.write(struct.pack("<i", tab.bw))
+        for i in range(tab.rows_filled):
+            lo = max(i - tab.bw, 0)
+            vals = tab.row_values(i, i + tab.bw + 1)[lo:]
+            fh.write(struct.pack("<ii", lo, vals.size))
+            fh.write(vals.astype("<f8").tobytes())
+
+
+def test_cache_rejects_v1_file(tmp_path, disc2):
+    tab = KernelTables(disc2, 0.1)
+    tab.ensure(10)
+    path = str(tmp_path / "v1.nlfbkt")
+    _write_v1(path, tab)
+    fresh = KernelTables(disc2, 0.1)
+    assert not fresh.load(path)
+    assert fresh.rows_filled == 0
+
+
+def test_dense_cache_restores_kink_corrections(tmp_path, count_rows):
+    k = power_tail_kernel(2, 3.5)
+    tab = KernelTables(k, 0.25)
+    tail = tab.tail_mass_vector(40, 39)
+    path = str(tmp_path / "t.nlfbkt")
+    tab.save(path)
+    assert os.listdir(tmp_path) == ["t.nlfbkt"]  # no temporary file left behind
+    fresh = KernelTables(k, 0.25)
+    before = count_rows["calls"]
+    assert fresh.load(path)
+    assert fresh.rows_filled == 40
+    assert np.array_equal(fresh.tail_mass_vector(40, 39), tail)
+    assert fresh._kink_corrections(40).tobytes() == tab._kink_corrections(40).tobytes()
+    assert fresh.row_values(7, 40).tobytes() == tab.row_values(7, 40).tobytes()
+    assert count_rows["calls"] == before
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_truncated_cache_leaves_table_unchanged(tmp_path, disc2, dense):
+    kernel = power_tail_kernel(2, 3.5) if dense else disc2
+    big = KernelTables(kernel, 0.1)
+    big.ensure(30)
+    path = str(tmp_path / "t.nlfbkt")
+    big.save(path)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(raw[:len(raw) // 2])
+    tab = KernelTables(kernel, 0.1)
+    tab.ensure(10)
+    rows = np.stack([tab.row_values(i, 10) for i in range(10)])
+    assert not tab.load(path)
+    assert tab.rows_filled == 10
+    assert np.array_equal(np.stack([tab.row_values(i, 10) for i in range(10)]), rows)
+
+
 def test_cache_rejects_mismatch(tmp_path, disc2, ball3):
     tab = KernelTables(disc2, 0.1)
     tab.ensure(10)
@@ -171,6 +272,31 @@ def test_concurrent_fills_are_consistent(disc2):
     assert len({r for r in results}) == 1
     direct = j_tilde(disc2, 0.5, 0.8)
     assert abs(results[0] - direct) < 1e-8
+
+
+def test_concurrent_dense_growth_matches_serial_fill():
+    import sys
+
+    k = power_tail_kernel(2, 3.5)
+    tab = KernelTables(k, 0.25)
+    sizes = [5, 23, 9, 41, 17, 60, 33, 50]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=tab.ensure, args=(n, n + 1)) for n in sizes]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    serial = KernelTables(k, 0.25)
+    serial.ensure(61)
+    assert tab.rows_filled == 61
+    block = np.stack([tab.row_values(i, 61) for i in range(61)])
+    expect = np.stack([serial.row_values(i, 61) for i in range(61)])
+    assert np.array_equal(block, expect)
 
 
 def test_rejects_nonpositive_dr(disc2):
