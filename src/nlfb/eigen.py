@@ -6,10 +6,10 @@ For the radial operator
 
 the principal eigenvalue lambda1(L) is computed by discretizing the
 integral with trapezoid weights, conjugating with
-diag(r^{(N-1)/2} sqrt(w)) to obtain a symmetric nonnegative matrix
+diag(r^{(N-1)/2} sqrt(w)) to obtain a symmetric nonnegative matrix S
 (valid by the symmetry identity r^{N-1} Jtilde(r, rho) =
-rho^{N-1} Jtilde(rho, r)), and running power iteration on the entrywise
-nonnegative matrix d*S + a*I, whose top eigenvalue is lambda1 + d.
+rho^{N-1} Jtilde(rho, r)), and one symmetric eigensolve: the largest
+eigenvalue eta of S gives lambda1 = d*eta - d + a.
 
 lambda1(L) is strictly increasing in L with limits a - d (L -> 0) and
 a (L -> infinity), which gives the threshold radius L_star when
@@ -21,14 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 
 from . import kernels as kmod
 from .errors import NumericalError, SolvabilityError
 from .reactions import Reaction
 from .tables import KernelTables
-
-TOL_EIG = 1e-8
-MAX_ITER = 100_000
 
 
 @dataclass(frozen=True)
@@ -39,8 +37,8 @@ class EigenProblem:
     tables: KernelTables
 
     def __post_init__(self):
-        if self.d <= 0.0 or self.L <= 0.0:
-            raise ValueError("need d > 0 and L > 0")
+        if self.d <= 0.0 or self.a <= 0.0 or self.L <= 0.0:
+            raise ValueError("need d > 0, a > 0 and L > 0")
 
 
 @dataclass
@@ -48,7 +46,7 @@ class EigenResult:
     lambda1: float
     nodes: np.ndarray
     eigenfunction: np.ndarray
-    iterations: int
+    iterations: int  # 1, for the one direct solve; kept for callers that read it
     residual: float
 
 
@@ -101,62 +99,28 @@ def _symmetrized(nodes, w, G, dim: int) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def lambda1(p: EigenProblem, tol: float = TOL_EIG, max_iter: int = MAX_ITER,
-            warm_start: np.ndarray | None = None) -> EigenResult:
+def lambda1(p: EigenProblem) -> EigenResult:
     """Principal eigenvalue and positive radial eigenfunction on [0, L]."""
     nodes, w, G = _assemble(p)
     S = _symmetrized(nodes, w, G, p.tables.kernel.dim)
     n = S.shape[0]
-    if warm_start is not None and warm_start.size:
-        v = np.abs(np.resize(warm_start, n)) + 1e-12
-    else:
-        v = np.ones(n)
-    v /= np.linalg.norm(v)
-    # shift by d: B = d*S + a*I is entrywise nonnegative (a > 0), so the
-    # power iteration converges to the algebraically largest eigenvalue
-    if p.a <= 0.0:
-        raise ValueError("need a > 0 for the shifted power iteration")
-    theta = 0.0
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        Bv = p.d * (S @ v) + p.a * v
-        theta = float(v @ Bv)
-        res = np.abs(Bv - theta * v).max()
-        nrm = np.linalg.norm(Bv)
-        if nrm == 0.0:
-            raise NumericalError("power iteration collapsed to zero")
-        v = Bv / nrm
-        if res <= tol * max(abs(theta), 1.0):
-            break
-    else:
-        raise NumericalError(
-            f"power iteration did not reach residual {tol} in {max_iter} steps")
-    lam = theta - p.d  # = d*eta - d + a with eta the Perron root of S @ diag(w)
+    top, vecs = eigh(S, subset_by_index=[n - 1, n - 1])
+    eta = float(top[0])  # Perron root of G @ diag(w)
+    lam = p.d * eta - p.d + p.a
     # unsymmetrized eigenfunction, extended to the center node
     phi = np.empty(nodes.size)
     pw = 0.5 * (p.tables.kernel.dim - 1)
-    phi[1:] = np.abs(v) / (nodes[1:] ** pw * np.sqrt(w[1:]))
-    eta = (lam - p.a + p.d) / p.d
+    phi[1:] = np.abs(vecs[:, 0]) / (nodes[1:] ** pw * np.sqrt(w[1:]))
     phi[0] = float(G[0, 1:] @ (w[1:] * phi[1:])) / eta if eta > 0 else phi[1]
     phi /= phi.max()
     resid = np.abs(p.d * (G @ (w * phi)) - p.d * phi + p.a * phi - lam * phi).max()
     return EigenResult(lambda1=float(lam), nodes=nodes, eigenfunction=phi,
-                       iterations=iters, residual=float(resid))
+                       iterations=1, residual=float(resid))
 
 
-def lambda1_sweep(d: float, a: float, L_values, tables: KernelTables,
-                  tol: float = TOL_EIG) -> list[EigenResult]:
-    """lambda1 over many radii, warm-starting each solve from the last."""
-    out = []
-    v = None
-    for L in L_values:
-        res = lambda1(EigenProblem(d=d, a=a, L=float(L), tables=tables),
-                      tol=tol, warm_start=v)
-        w = _grid(float(L), tables.dr)[1]
-        pw = 0.5 * (tables.kernel.dim - 1)
-        v = res.eigenfunction[1:] * res.nodes[1:] ** pw * np.sqrt(w[1:])
-        out.append(res)
-    return out
+def lambda1_sweep(d: float, a: float, L_values, tables: KernelTables) -> list[EigenResult]:
+    """lambda1 over many radii, one independent solve each."""
+    return [lambda1(EigenProblem(d=d, a=a, L=float(L), tables=tables)) for L in L_values]
 
 
 def find_L_star(d: float, a: float, tables: KernelTables,

@@ -150,10 +150,13 @@ def _mass(u: np.ndarray, h: float, dr: float, dim: int) -> float:
     return unit_sphere_area(dim) * float(np.dot(w, r ** (dim - 1) * u))
 
 
+def _stability_rate(cfg: RunConfig) -> float:
+    u0_max = float(np.abs(cfg.initial_profile(np.linspace(0.0, cfg.h0, 512))).max())
+    return cfg.d + cfg.reaction.lipschitz(max(u0_max, cfg.reaction.u_star))
+
+
 def default_dt(cfg: RunConfig) -> float:
-    m0 = max(float(np.abs(cfg.initial_profile(
-        np.linspace(0.0, cfg.h0, 512))).max()), cfg.reaction.u_star)
-    return 0.4 / (cfg.d + cfg.reaction.lipschitz(m0))
+    return 0.4 / _stability_rate(cfg)
 
 
 def run(cfg: RunConfig, tables: KernelTables | None = None,
@@ -167,9 +170,7 @@ def run(cfg: RunConfig, tables: KernelTables | None = None,
     if tables is None:
         tables = KernelTables(cfg.kernel, cfg.dr)
     dt = cfg.dt if cfg.dt is not None else default_dt(cfg)
-    m0 = max(float(np.abs(cfg.initial_profile(
-        np.linspace(0.0, cfg.h0, 512))).max()), cfg.reaction.u_star)
-    if dt * (cfg.d + cfg.reaction.lipschitz(m0)) >= 0.9:
+    if dt * _stability_rate(cfg) >= 0.9:
         raise NumericalError(
             "explicit stability violated: dt * (d + Lip f) must stay below 0.9")
     if early_stop and L_star is None and cfg.reaction.fprime0 < cfg.d:

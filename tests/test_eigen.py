@@ -2,12 +2,39 @@ import numpy as np
 import pytest
 
 from nlfb import (EigenProblem, KernelTables, SolvabilityError, find_L_star,
-                  lambda1, lambda1_sweep, logistic, steady_state)
+                  lambda1, lambda1_sweep, logistic, power_tail_kernel,
+                  steady_state, tabulated)
 from nlfb.eigen import _assemble, _symmetrized
 
 
 def _lam(L, tables, d=1.0, a=0.5):
     return lambda1(EigenProblem(d=d, a=a, L=L, tables=tables)).lambda1
+
+
+@pytest.fixture(scope="module")
+def tables_ball3(ball3):
+    return KernelTables(ball3, 0.05)
+
+
+@pytest.fixture(scope="module")
+def tables_beta28():
+    return KernelTables(power_tail_kernel(2, 2.8), 0.25)
+
+
+# banded disc and ball, an off-grid endpoint, a dense fat-tail table
+@pytest.fixture(params=[("tables_disc2", 4.0), ("tables_ball3", 4.0),
+                        ("tables_disc2", 2.013), ("tables_beta28", 5.0)],
+                ids=["disc", "ball", "off_grid", "dense_beta2.8"])
+def problem(request):
+    name, L = request.param
+    return EigenProblem(d=1.0, a=0.5, L=L, tables=request.getfixturevalue(name))
+
+
+def test_lambda1_matches_general_eigensolve(problem):
+    # the unsymmetrized operator d*G*diag(w) - d + a, solved without symmetry
+    _, w, G = _assemble(problem)
+    top = np.linalg.eigvals(problem.d * G * w[None, :]).real.max()
+    assert abs(lambda1(problem).lambda1 - (top - problem.d + problem.a)) <= 1e-10
 
 
 def test_limits_small_and_large_L(tables_disc2):
@@ -27,6 +54,14 @@ def test_bounds_and_monotonicity(tables_disc2):
     assert all(a < b for a, b in zip(lams[:-1], lams[1:]))
 
 
+def test_sweep_equals_separate_solves_in_any_order(tables_disc2):
+    Ls = [8.0, 0.5, 2.013, 4.0, 1.0]
+    separate = {L: _lam(L, tables_disc2) for L in Ls}
+    for order in (Ls, sorted(Ls), sorted(Ls, reverse=True)):
+        swept = [r.lambda1 for r in lambda1_sweep(1.0, 0.5, order, tables_disc2)]
+        assert swept == [separate[L] for L in order]
+
+
 def test_rayleigh_lower_bound(tables_disc2):
     # any test vector gives a lower bound for the top symmetric eigenvalue
     p = EigenProblem(d=1.0, a=0.5, L=3.0, tables=tables_disc2)
@@ -38,11 +73,11 @@ def test_rayleigh_lower_bound(tables_disc2):
     assert lambda1(p).lambda1 >= lower - 1e-10
 
 
-def test_eigenfunction_positive_small_residual(tables_disc2):
-    res = lambda1(EigenProblem(d=1.0, a=0.5, L=4.0, tables=tables_disc2))
+def test_eigenfunction_positive_small_residual(problem):
+    res = lambda1(problem)
     assert np.all(res.eigenfunction > 0.0)
     assert res.eigenfunction.max() == 1.0
-    assert res.residual < 1e-6
+    assert res.residual < 1e-10
 
 
 def test_off_grid_endpoint_consistent(tables_disc2):
@@ -60,7 +95,7 @@ def test_a_equal_d_positive_lambda(tables_disc2):
         assert 0.0 < lam < 1.0
 
 
-def test_shifted_iteration_requires_positive_a(tables_disc2):
+def test_problem_requires_positive_a(tables_disc2):
     with pytest.raises(ValueError):
         lambda1(EigenProblem(d=1.0, a=-0.1, L=1.0, tables=tables_disc2))
 
@@ -104,6 +139,15 @@ def test_steady_state_below_u_star(tables_disc2, logistic_f):
     assert 0.9 < u.max() < 1.0 + 1e-6
     # radially nonincreasing toward the fixed boundary
     assert u[0] > u[-1]
+
+
+def test_steady_state_positive_for_tabulated_reaction(tables_disc2):
+    # a Newton solve from u_star / 2 fell to u = 0 on this case; the march
+    # must reach the positive state
+    f = tabulated([0.0, 0.5, 1.0, 2.0], [0.0, 0.3, 0.0, -1.0])
+    _, u = steady_state(3.0, 1.0, f, tables_disc2)
+    assert np.all(u > 0.0)
+    assert 0.9 < u.max() <= f.u_star
 
 
 def test_steady_state_nonexistent_below_threshold(tables_disc2, logistic_f):
