@@ -37,14 +37,14 @@ KNOWN_KEYS = {
     "N", "d", "mu",
     "f.kind", "f.scale",
     "h0", "u0.amplitude",
-    "dr", "dt", "t_end", "snapshot_stride", "scheme", "out_dir",
+    "dr", "dt", "t_end", "snapshot_stride", "out_dir",
     # semiwave extras
     "dx", "M",
     # eigen extras
     "a", "L",
 }
 
-_FLOAT_KEYS = KNOWN_KEYS - {"kernel.kind", "f.kind", "scheme", "out_dir", "N"}
+_FLOAT_KEYS = KNOWN_KEYS - {"kernel.kind", "f.kind", "out_dir", "N"}
 
 
 class ConfigError(ValueError):
@@ -117,7 +117,6 @@ def runconfig_from_config(cfg: dict) -> RunConfig:
         dt=cfg.get("dt"),
         t_end=cfg["t_end"],
         snapshot_stride=cfg.get("snapshot_stride", 0.0),
-        scheme=cfg.get("scheme", "euler"),
     )
 
 

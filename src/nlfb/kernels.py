@@ -33,7 +33,8 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from .errors import KernelValidationError, SolvabilityError
-from .quadrature import gl_integrate, gl_panels, gl_rule, graded_edges_around
+from .quadrature import (gl_integrate, gl_panels, gl_rule, graded_edges_around,
+                         octave_integral)
 
 COMPACT = "compact"
 FAT_TAIL = "fat_tail"
@@ -182,8 +183,7 @@ def custom_kernel(profile, dim: int, support_radius: float | None = None,
 # radial moments and validation
 # ---------------------------------------------------------------------------
 
-def _radial_integral(kernel: RadialKernel, power: int,
-                     rel_tol: float = 1e-12) -> float:
+def _radial_integral(kernel: RadialKernel, power: int) -> float:
     """int_0^inf J(r) r^power dr with panels split at profile breakpoints."""
 
     def f(r):
@@ -193,17 +193,7 @@ def _radial_integral(kernel: RadialKernel, power: int,
         edges = sorted({0.0, kernel.support_radius,
                         *[b for b in kernel.breakpoints if b < kernel.support_radius]})
         return gl_panels(f, edges, 96)
-    # unbounded support: doubling octaves until the contribution stalls
-    total = gl_integrate(f, 0.0, 1.0, 96)
-    lo, width = 1.0, 1.0
-    for _ in range(80):
-        part = gl_integrate(f, lo, lo + width, 64)
-        total += part
-        lo += width
-        width *= 2.0
-        if abs(part) <= rel_tol * max(abs(total), 1e-300):
-            return total
-    return math.inf
+    return octave_integral(f)
 
 
 def normalization(kernel: RadialKernel) -> float:
@@ -212,7 +202,12 @@ def normalization(kernel: RadialKernel) -> float:
 
 
 def moment_n(kernel: RadialKernel) -> float:
-    """The (J1) moment int_0^inf J(r) r^N dr; math.inf when divergent."""
+    """The (J1) moment int_0^inf J(r) r^N dr; math.inf when divergent.
+
+    For a power tail J ~ r^-beta the moment is finite for every
+    beta > N + 1 (the octave sum adds its geometric remainder in closed
+    form) and math.inf for beta <= N + 1.
+    """
     if kernel.kind == FAT_TAIL and kernel.tail_exponent <= kernel.dim + 1:
         return math.inf
     return _radial_integral(kernel, kernel.dim)
@@ -310,21 +305,11 @@ def _j_star_abs(kernel: RadialKernel, ls: np.ndarray) -> np.ndarray:
         out[inside] = w * acc
         return out
 
-    # unbounded support: fixed geometric panels, extended until the last
-    # panel is negligible for every l simultaneously
-    acc = np.zeros_like(ls)
-    lo, width = 0.0, 1.0
-    for _ in range(90):
-        half = 0.5 * width
-        s = lo + half * (x + 1.0)
-        vals = kernel(np.sqrt(ls[:, None] ** 2 + s[None, :] ** 2)) * s[None, :] ** (n - 2)
-        part = half * (vals @ gw)
-        acc += part
-        lo += width
-        width *= 2.0
-        if part.max() <= 1e-13 * max(acc.max(), 1e-300):
-            break
-    return w * acc
+    # unbounded support: one octave sum over s for every l at once
+    def f(s):
+        return kernel(np.sqrt(ls[:, None] ** 2 + s[None, :] ** 2)) * s[None, :] ** (n - 2)
+
+    return w * octave_integral(f)
 
 
 def j_star_first_moment(kernel: RadialKernel) -> float:
@@ -342,16 +327,7 @@ def j_star_first_moment(kernel: RadialKernel) -> float:
         edges = sorted({*graded_edges_around(K, 0.0, K, first=K / 64.0),
                         *[b for b in kernel.breakpoints if b < K]})
         return gl_panels(f, edges, 64)
-    total = gl_integrate(f, 0.0, 1.0, 64)
-    lo, width = 1.0, 1.0
-    for _ in range(90):
-        part = gl_integrate(f, lo, lo + width, 48)
-        total += part
-        lo += width
-        width *= 2.0
-        if abs(part) <= 1e-11 * max(abs(total), 1e-300):
-            break
-    return total
+    return octave_integral(f)
 
 
 def moment_identity_check(kernel: RadialKernel) -> tuple[float, float, float]:
@@ -507,13 +483,7 @@ def interior_rho_integral(kernel: RadialKernel, r: float, h: float,
         edges = _graded_union(lo, hi, _rho_kinks(kernel, r))
     else:
         edges = graded_edges_around(r, 0.0, h, first=0.5)
-    total = 0.0
-    x, gw = gl_rule(order)
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        nodes = a + half * (x + 1.0)
-        total += half * float(np.dot(gw, j_tilde_row(kernel, r, nodes)))
-    return total
+    return gl_panels(lambda rho: j_tilde_row(kernel, r, rho), edges, order)
 
 
 def outward_rho_integral(kernel: RadialKernel, r: float, h: float,
@@ -530,13 +500,7 @@ def outward_rho_integral(kernel: RadialKernel, r: float, h: float,
             return 0.0
         lo = max(h, max(0.0, r - K))
         edges = _graded_union(lo, hi, _rho_kinks(kernel, r))
-        x, gw = gl_rule(order)
-        total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (b - a)
-            nodes = a + half * (x + 1.0)
-            total += half * float(np.dot(gw, j_tilde_row(kernel, r, nodes)))
-        return total
+        return gl_panels(lambda rho: j_tilde_row(kernel, r, rho), edges, order)
     return min(max(1.0 - interior_rho_integral(kernel, r, h, order), 0.0), 1.0)
 
 
@@ -594,12 +558,6 @@ def boundary_flux(kernel: RadialKernel, h: float, order: int = 24) -> float:
         outer_edges = _refine([lo, h], 6)
     else:
         outer_edges = graded_edges_around(h, 0.0, h, first=1.0)
-    x, gw = gl_rule(order)
-    total = 0.0
-    for a, b in zip(outer_edges[:-1], outer_edges[1:]):
-        half = 0.5 * (b - a)
-        nodes = a + half * (x + 1.0)
-        vals = np.array([outward_rho_integral(kernel, r, h) for r in nodes])
-        total += half * float(np.dot(gw, vals))
-    return total
+    return gl_panels(lambda rs: np.array([outward_rho_integral(kernel, r, h) for r in rs]),
+                     outer_edges, order)
 

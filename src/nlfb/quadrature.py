@@ -2,16 +2,40 @@
 
 All integration in the kernel machinery is built from fixed-order
 Gauss-Legendre rules applied panel by panel, so results are fully
-deterministic (no adaptive subdivision driven by error estimators,
-except the explicit order-doubling fallback used by the kernel
-transforms).
+deterministic: no adaptive subdivision is driven by error estimates.
+
+Half-line integrals int_a^inf f go through octave_integral, which sums
+panels [a, a + w], [a + w, a + 3w], ... whose widths double, so a
+power-law integrand costs a fixed number of nodes per octave.  After
+each octave one of three rules may end the sum:
+
+* converged: the octave added at most OCTAVE_REL_TOL of the total;
+* geometric tail: successive octave parts shrink by a ratio q in (0, 1)
+  that has settled (two successive ratios agree to OCTAVE_Q_TOL), as
+  for an integrand ~ x^-p with p > 1, where q -> 2^(1-p); the rest of
+  the series, part * q / (1 - q), is added in closed form;
+* divergent: math.inf once OCTAVE_CAP octaves pass without either.
+
+A ratio q >= 1 is never read as divergence: s -> J(sqrt(l^2 + s^2))
+s^(N-2) grows by a factor close to 2^(N-1) per octave while s << l and
+decays only beyond s ~ l.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
+
+#: Gauss-Legendre order of every octave panel
+OCTAVE_ORDER = 96
+#: an octave below this fraction of the running total ends the sum
+OCTAVE_REL_TOL = 1e-12
+#: two successive octave ratios this close count as a settled geometric tail
+OCTAVE_Q_TOL = 1e-10
+#: octaves summed before an integral is declared divergent
+OCTAVE_CAP = 100
 
 
 @lru_cache(maxsize=32)
@@ -39,26 +63,6 @@ def gl_panels(f, edges, order: int = 64) -> float:
     return total
 
 
-def geometric_edges(a: float, b: float, first: float = 1.0) -> np.ndarray:
-    """Panel edges on [a, b] whose widths grow geometrically from `first`.
-
-    Used for integrands that decay like a power law away from `a`: the
-    panels [a, a+1], [a+1, a+2], [a+2, a+4], ... keep a fixed number of
-    Gauss nodes per octave.
-    """
-    if b <= a:
-        return np.array([a, a])
-    edges = [a]
-    step = first
-    pos = a
-    while pos + step < b:
-        pos += step
-        edges.append(pos)
-        step *= 2.0
-    edges.append(b)
-    return np.asarray(edges)
-
-
 def graded_edges_around(center: float, a: float, b: float, first: float = 0.5) -> np.ndarray:
     """Panel edges on [a, b] refined geometrically toward `center`.
 
@@ -82,29 +86,32 @@ def graded_edges_around(center: float, a: float, b: float, first: float = 0.5) -
     return np.array(sorted(pts))
 
 
-def tail_integral_power(f, a: float, order: int = 32,
-                        rel_tol: float = 1e-12, max_octaves: int = 80) -> float:
-    """Integrate f over [a, infinity) for power-law-decaying integrands.
+def octave_integral(f, a: float = 0.0, first: float = 1.0):
+    """int_a^inf f by octave-doubling panels; math.inf when divergent.
 
-    Doubling panels [a, 2a], [2a, 4a], ... are summed until one panel
-    contributes less than rel_tol of the running total.
+    f maps an array of nodes to one value per node, or to a (k, nodes)
+    array for k integrals at once; the result is then a length-k array,
+    finished when every entry meets one of the stopping rules, with inf
+    in the entries that meet none within OCTAVE_CAP octaves.
     """
-    lo = max(a, 1e-12)
-    total = gl_integrate(f, a, lo) if a < lo else 0.0
-    width = max(lo, 1.0)
-    for _ in range(max_octaves):
-        part = gl_integrate(f, lo, lo + width, order)
-        total += part
-        lo += width
-        width *= 2.0
-        if abs(part) <= rel_tol * max(abs(total), 1e-300):
-            break
-    return total
-
-
-def trapezoid_weights(n: int, dx: float) -> np.ndarray:
-    """Composite trapezoid weights for n equispaced nodes."""
-    w = np.full(n, dx)
-    w[0] = 0.5 * dx
-    w[-1] = 0.5 * dx
-    return w
+    x, w = gl_rule(OCTAVE_ORDER)
+    lo, width = a, first
+    total = 0.0
+    prev = q_prev = math.nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(OCTAVE_CAP):
+            half = 0.5 * width
+            part = half * (np.asarray(f(lo + half + half * x), dtype=float) @ w)
+            total = total + part
+            lo += width
+            width *= 2.0
+            q = part / prev
+            converged = np.abs(part) <= OCTAVE_REL_TOL * np.abs(total)
+            geometric = (q > 0.0) & (q < 1.0) & (np.abs(q - q_prev) <= OCTAVE_Q_TOL)
+            if np.all(converged | geometric):
+                break
+            prev, q_prev = part, q
+        out = np.where(converged | geometric,
+                       total + np.where(geometric, part * q / (1.0 - q), 0.0),
+                       math.inf)
+    return float(out) if out.ndim == 0 else out

@@ -33,30 +33,16 @@ from scipy.optimize import brentq
 from . import kernels as kmod
 from .errors import NumericalError, SolvabilityError
 from .kernels import RadialKernel
-from .quadrature import gl_integrate, gl_panels, tail_integral_power
+from .quadrature import gl_panels, octave_integral
 from .reactions import Reaction
 
 
-def _half_line_integral(p, support: float, weight=None, rel_tol: float = 1e-12):
-    """int_0^inf w(x) p(x) dx for an even density p; detects divergence."""
-    f = (lambda x: p(x)) if weight is None else (lambda x: weight(x) * p(x))
+def _half_line_integral(p, support: float, weight=None):
+    """int_0^inf w(x) p(x) dx for an even density p; math.inf when divergent."""
+    f = p if weight is None else (lambda x: weight(x) * p(x))
     if math.isfinite(support):
         return gl_panels(f, np.linspace(0.0, support, 8), 64)
-    total = gl_integrate(f, 0.0, 1.0, 64)
-    lo, width = 1.0, 1.0
-    prev = math.inf
-    for _ in range(70):
-        part = gl_integrate(f, lo, lo + width, 48)
-        total += part
-        lo += width
-        width *= 2.0
-        if abs(part) <= rel_tol * max(abs(total), 1e-300):
-            return total
-        if part >= 0.99 * prev:
-            # octave contributions have stopped decaying geometrically
-            return math.inf
-        prev = part
-    return math.inf
+    return octave_integral(f)
 
 
 @dataclass
@@ -85,7 +71,7 @@ class Marginal1D:
             return 0.0
         if math.isfinite(self.support):
             return gl_panels(self.p, np.linspace(y, self.support, 6), 64)
-        return tail_integral_power(self.p, y, order=48)
+        return octave_integral(self.p, y, max(y, 1.0))
 
     def partial_first_moment_beyond(self, y: float) -> float:
         """int_y^inf (x - y) P(x) dx, y >= 0 (finite first moment assumed)."""
@@ -97,7 +83,7 @@ class Marginal1D:
 
         if math.isfinite(self.support):
             return gl_panels(f, np.linspace(y, self.support, 6), 64)
-        return tail_integral_power(f, y, order=48)
+        return octave_integral(f, y, max(y, 1.0))
 
 
 def marginal_from_kernel(kernel: RadialKernel) -> Marginal1D:

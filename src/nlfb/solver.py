@@ -49,7 +49,6 @@ class RunConfig:
     dt: float | None = None
     t_end: float = 100.0
     snapshot_stride: float = 0.0  # time between full profile snapshots; 0 = none
-    scheme: str = "euler"
     eps_h_factor: float = 1e-5
     eps_u_factor: float = 1e-3
 
@@ -123,15 +122,8 @@ def step(state: SimState, cfg: RunConfig, tables: KernelTables,
          dt: float) -> tuple[SimState, float]:
     """One explicit step; returns (new state, hdot at the old time)."""
     dudt, hdot = _slopes(state.u, state.h, cfg, tables)
-    if cfg.scheme == "heun":
-        u_pred = state.u + dt * dudt
-        h_pred = state.h + dt * hdot
-        dudt2, hdot2 = _slopes(np.clip(u_pred, 0.0, None), h_pred, cfg, tables)
-        u_new = state.u + 0.5 * dt * (dudt + dudt2)
-        h_new = state.h + 0.5 * dt * (hdot + hdot2)
-    else:
-        u_new = state.u + dt * dudt
-        h_new = state.h + dt * hdot
+    u_new = state.u + dt * dudt
+    h_new = state.h + dt * hdot
     low = u_new.min()
     if low < -1e-12 * max(1.0, np.abs(u_new).max()):
         raise NumericalError(

@@ -72,7 +72,6 @@ class KernelTables:
         self._cap = 0
         self._data = np.zeros((0, 0))
         self._jstar_cache = np.zeros(0)
-        self._moment1 = None
         self._row_mass = np.zeros(0)
         self._kink_corr = np.zeros(0)
 
@@ -135,16 +134,6 @@ class KernelTables:
 
     def r_nodes(self, n: int) -> np.ndarray:
         return np.arange(n) * self.dr
-
-    def value(self, i: int, j: int) -> float:
-        """Jtilde(i*dr, j*dr) from the table (0 outside the stored band)."""
-        self.ensure(i + 1, j + 1)
-        if self.banded:
-            lo, hi = self._row_cols(i)
-            if j < lo or j > hi:
-                return 0.0
-            return float(self._data[i, j - (i - self.bw)])
-        return float(self._data[i, j])
 
     def row_values(self, i: int, n_cols: int) -> np.ndarray:
         """Row i as a dense vector over columns 0..n_cols-1."""
@@ -299,13 +288,6 @@ class KernelTables:
                 self._jstar_cache = np.asarray(
                     kmod.j_star(self.kernel, np.arange(n) * self.dr))
             return self._jstar_cache[:n]
-
-    @property
-    def moment1_jstar(self) -> float:
-        with self._lock:
-            if self._moment1 is None:
-                self._moment1 = kmod.j_star_first_moment(self.kernel)
-            return self._moment1
 
     # -- persistence ----------------------------------------------------------
 

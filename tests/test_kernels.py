@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import beta as beta_fn
 
 from nlfb import (KernelValidationError, SolvabilityError, cosine_bump_kernel,
                   custom_kernel, j_star, j_tilde, j_tilde_row, j_tilde_split,
@@ -63,6 +64,14 @@ def test_jstar_even_and_vectorized(disc2):
     assert arr.shape == (2,)
 
 
+def test_jstar_far_from_origin_fat_tail():
+    # s -> J(sqrt(l^2 + s^2)) grows for ~22 octaves before it decays; the
+    # octave sum must neither stop early nor call the growth divergent
+    got = j_star(power_tail_kernel(2, 2.8), 5e6)
+    assert math.isfinite(got)
+    assert abs(got - 4.2794250962912714e-13) <= 1e-12 * 4.2794250962912714e-13
+
+
 def test_jstar_first_moment_closed_forms(disc2, ball3):
     # disc: (2/pi) int_0^1 l sqrt(1-l^2) dl = 2/(3 pi); ball: 3/16
     assert abs(j_star_first_moment(disc2) - 2.0 / (3.0 * math.pi)) < 1e-8
@@ -70,7 +79,7 @@ def test_jstar_first_moment_closed_forms(disc2, ball3):
 
 
 def test_moment_identity(disc2, ball3):
-    for k in (disc2, ball3, power_tail_kernel(2, 3.5)):
+    for k in (disc2, ball3, power_tail_kernel(2, 3.5), power_tail_kernel(2, 3.3)):
         lhs, rhs, rel = moment_identity_check(k)
         assert rel < 1e-6, (k.label, lhs, rhs)
 
@@ -85,6 +94,16 @@ def test_moment_n_finiteness():
     assert math.isinf(moment_n(power_tail_kernel(2, 3.0)))
     assert math.isfinite(moment_n(power_tail_kernel(2, 3.5)))
     assert math.isfinite(moment_n(uniform_kernel(2)))
+    # finite for every beta > N + 1: int_0^inf A (1+r)^-beta r^N dr = A B(N+1, beta-N-1)
+    for n in (2, 3):
+        for excess in (1.05, 1.3):
+            k = power_tail_kernel(n, n + excess)
+            exact = k.tail_scale * beta_fn(n + 1, excess - 1.0)
+            got = moment_n(k)
+            assert math.isfinite(got)
+            assert abs(got - exact) <= 1e-8 * exact, (n, excess, got, exact)
+        for excess in (0.5, 1.0):
+            assert math.isinf(moment_n(power_tail_kernel(n, n + excess)))
 
 
 def test_jtilde_center_value_exact(disc2, ball3):

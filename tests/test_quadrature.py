@@ -1,8 +1,9 @@
+import math
+
 import numpy as np
 
-from nlfb.quadrature import (gl_integrate, gl_panels, geometric_edges,
-                             graded_edges_around, tail_integral_power,
-                             trapezoid_weights)
+from nlfb.quadrature import (gl_integrate, gl_panels, graded_edges_around,
+                             octave_integral)
 
 
 def test_gl_exact_on_polynomials():
@@ -18,12 +19,6 @@ def test_gl_panels_additive():
     assert abs(whole - split) < 1e-13
 
 
-def test_geometric_edges_cover_interval():
-    e = geometric_edges(2.0, 50.0, first=1.0)
-    assert e[0] == 2.0 and e[-1] == 50.0
-    assert np.all(np.diff(e) > 0)
-
-
 def test_graded_edges_refine_toward_center():
     e = graded_edges_around(1.0, 0.0, 4.0, first=0.125)
     assert e[0] == 0.0 and e[-1] == 4.0
@@ -34,12 +29,15 @@ def test_graded_edges_refine_toward_center():
 
 
 def test_tail_integral_power_law():
-    # int_1^inf x^-3 dx = 1/2
-    val = tail_integral_power(lambda x: x ** -3.0, 1.0)
-    assert abs(val - 0.5) < 1e-10
-
-
-def test_trapezoid_weights_sum():
-    w = trapezoid_weights(11, 0.1)
-    assert abs(w.sum() - 1.0) < 1e-14
-    assert w[0] == w[-1] == 0.05
+    # int_1^inf x^-p dx = 1/(p - 1), even where the octaves shrink slowly
+    for p in (1.05, 1.5, 3.0):
+        val = octave_integral(lambda x: x ** -p, 1.0)
+        assert abs(val - 1.0 / (p - 1.0)) < 1e-10 / (p - 1.0), p
+    for p in (0.9, 1.0):
+        assert octave_integral(lambda x: x ** -p, 1.0) == math.inf, p
+    # k integrals at once: int_1^inf x^-p dx per row, inf in the divergent row
+    ps = np.array([1.05, 3.0, 1.0])
+    rows = octave_integral(lambda x: x[None, :] ** -ps[:, None], 1.0)
+    assert rows.shape == (3,)
+    assert np.abs(rows[:2] * (ps[:2] - 1.0) - 1.0).max() < 1e-10
+    assert rows[2] == math.inf

@@ -81,14 +81,6 @@ def test_stability_guard():
         run(cfg)
 
 
-def test_heun_close_to_euler(tables_disc2):
-    cfg_e = _cfg(dr=0.05, t_end=5.0, dt=0.1)
-    cfg_h = dataclasses.replace(cfg_e, scheme="heun")
-    h_e = run(cfg_e, tables=tables_disc2).h[-1]
-    h_h = run(cfg_h, tables=tables_disc2).h[-1]
-    assert abs(h_e - h_h) / h_h < 0.01
-
-
 def test_initial_slope_against_geometry_oracle(disc2):
     # h'(0) = mu/h int_0^h r u0(r) T(r, h) dr with T from the exact
     # disc-overlap area: the kernel is uniform on the unit disc.  The
