@@ -10,11 +10,18 @@ power-law integrand costs a fixed number of nodes per octave.  After
 each octave one of three rules may end the sum:
 
 * converged: the octave added at most OCTAVE_REL_TOL of the total;
-* geometric tail: successive octave parts shrink by a ratio q in (0, 1)
-  that has settled (two successive ratios agree to OCTAVE_Q_TOL), as
-  for an integrand ~ x^-p with p > 1, where q -> 2^(1-p); the rest of
-  the series, part * q / (1 - q), is added in closed form;
+* geometric tail: successive octave parts shrink by a ratio q that has
+  settled (two successive ratios agree to OCTAVE_Q_TOL) and stays clear
+  of 1 (q in (0, OCTAVE_Q_MAX)), as for an integrand ~ x^-p with p > 1,
+  where q -> 2^(1-p); the rest of the series, part * q / (1 - q), is
+  added in closed form;
 * divergent: math.inf once OCTAVE_CAP octaves pass without either.
+
+The remainder is trusted only for q clear of 1.  A log-divergent
+integrand such as 1/(c + x) with c < 1 has octave parts falling to ln 2,
+so q creeps up to 1 from below by O(2^-k) and passes the settling test
+about 2e-10 below 1, where part * q / (1 - q) would be ~1e10 instead of
+inf.  Its relative error is about OCTAVE_Q_TOL / (1 - q) in any case.
 
 A ratio q >= 1 is never read as divergence: s -> J(sqrt(l^2 + s^2))
 s^(N-2) grows by a factor close to 2^(N-1) per octave while s << l and
@@ -34,6 +41,8 @@ OCTAVE_ORDER = 96
 OCTAVE_REL_TOL = 1e-12
 #: two successive octave ratios this close count as a settled geometric tail
 OCTAVE_Q_TOL = 1e-10
+#: largest settled octave ratio whose geometric remainder is added
+OCTAVE_Q_MAX = 1.0 - 1e-6
 #: octaves summed before an integral is declared divergent
 OCTAVE_CAP = 100
 
@@ -107,7 +116,7 @@ def octave_integral(f, a: float = 0.0, first: float = 1.0):
             width *= 2.0
             q = part / prev
             converged = np.abs(part) <= OCTAVE_REL_TOL * np.abs(total)
-            geometric = (q > 0.0) & (q < 1.0) & (np.abs(q - q_prev) <= OCTAVE_Q_TOL)
+            geometric = (q > 0.0) & (q < OCTAVE_Q_MAX) & (np.abs(q - q_prev) <= OCTAVE_Q_TOL)
             if np.all(converged | geometric):
                 break
             prev, q_prev = part, q

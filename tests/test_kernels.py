@@ -106,6 +106,18 @@ def test_moment_n_finiteness():
             assert math.isinf(moment_n(power_tail_kernel(n, n + excess)))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("b", [0.0, 5.0])
+def test_moment_n_custom_log_tail_is_inf(n, b):
+    # J = (1+r)^-(N+1) (1 + b/(1+r)) has r^N J ~ 1/r: the moment diverges
+    # like log r, and a custom kernel has no exponent check to stop early
+    def profile(r):
+        r = np.asarray(r, dtype=float)
+        return (1.0 + r) ** -(n + 1) * (1.0 + b / (1.0 + r))
+
+    assert math.isinf(moment_n(custom_kernel(profile, dim=n)))
+
+
 def test_jtilde_center_value_exact(disc2, ball3):
     # at r = 0 the spherical integrand is constant: w_N rho^(N-1) J(rho)
     assert abs(j_tilde(disc2, 0.0, 0.5) - 1.0) < 1e-12

@@ -41,3 +41,13 @@ def test_tail_integral_power_law():
     assert rows.shape == (3,)
     assert np.abs(rows[:2] * (ps[:2] - 1.0) - 1.0).max() < 1e-10
     assert rows[2] == math.inf
+
+
+def test_octave_integral_log_divergent_from_zero():
+    # int_0^inf dx / (c + x) diverges; for c < 1 the octave parts fall to
+    # ln 2 and their ratio creeps up to 1 from below, which must not be
+    # taken for a geometric tail
+    for c in (0.25, 0.5, 1.0, 2.0):
+        for first in (0.5, 1.0, 3.0):
+            val = octave_integral(lambda x: 1.0 / (c + x), 0.0, first)
+            assert val == math.inf, (c, first, val)

@@ -127,6 +127,14 @@ def test_infinite_speed_detected(logistic_f):
         solve_semiwave(SemiWaveProblem(P=P, d=1.0, mu=1.0, f=logistic_f))
 
 
+def test_log_divergent_first_moment_is_inf():
+    # P = (c/2) (c + |x|)^-2 has unit mass and int_0^inf x P dx = inf
+    for c in (0.25, 0.5, 1.0):
+        P = Marginal1D(p=lambda x, c=c: 0.5 * c * (c + np.asarray(x, dtype=float)) ** -2.0)
+        assert abs(P.norm1 - 1.0) < 1e-12
+        assert math.isinf(P.moment1), c
+
+
 def test_speed_from_kernel_moment_dichotomy(logistic_f):
     assert math.isinf(speed_from_kernel(power_tail_kernel(2, 2.5), 1.0, 1.0,
                                         logistic_f))
