@@ -14,7 +14,11 @@ Jtilde is evaluated through its angular representation
                      int_0^pi (sin t)^{N-2} J(sqrt(r^2+rho^2-2 r rho cos t)) dt,
 
 which is smooth in t (the eta-substitution form has endpoint
-singularities for N = 2), and Jstar through
+singularities for N = 2), unless N = 3 and the kernel carries
+H(s) = int_s^inf t J(t) dt in closed form (tail_antiderivative, as the
+built-in kernels do).  Then s^2 = r^2 + rho^2 - 2 r rho cos t gives the
+exact Jtilde(r, rho) = (2 pi rho / r) (H(|r - rho|) - H(r + rho)).
+Jstar is evaluated through
 
     Jstar(l) = w_{N-1} int_0^inf J(sqrt(l^2 + s^2)) s^{N-2} ds.
 
@@ -60,7 +64,9 @@ class RadialKernel:
     support edge of a truncated kernel); quadrature panels split there.
     For fat-tail kernels, tail_scale is the asymptotic coefficient A in
     J(r) ~ A r^(-beta) and tail_start the radius beyond which the
-    two-sided power bound holds.
+    two-sided power bound holds.  tail_antiderivative, when known in
+    closed form, is H(s) = int_s^inf t J(t) dt (vectorized); for N = 3
+    it makes Jtilde exact.  It is not part of hash().
     """
 
     profile: Callable[[np.ndarray], np.ndarray]
@@ -73,6 +79,7 @@ class RadialKernel:
     breakpoints: tuple[float, ...] = ()
     label: str = ""
     params: tuple = field(default_factory=tuple)
+    tail_antiderivative: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.dim < 2:
@@ -95,27 +102,33 @@ class RadialKernel:
         return h.hexdigest()[:16]
 
 
-def _uniform_profile(dim: int, radius: float):
+def uniform_kernel(dim: int, radius: float = 1.0) -> RadialKernel:
+    """Uniform density on the ball of the given radius (disc for N=2)."""
     height = dim / (unit_sphere_area(dim) * radius ** dim)
 
     def profile(r):
         r = np.asarray(r, dtype=float)
         return np.where(r <= radius, height, 0.0)
 
-    return profile
+    def tail(s):
+        return 0.5 * height * np.maximum((radius - s) * (radius + s), 0.0)
 
-
-def uniform_kernel(dim: int, radius: float = 1.0) -> RadialKernel:
-    """Uniform density on the ball of the given radius (disc for N=2)."""
     return RadialKernel(
-        profile=_uniform_profile(dim, radius),
+        profile=profile,
         dim=dim,
         kind=COMPACT,
         support_radius=radius,
         breakpoints=(radius,),
         label=f"uniform{dim}d",
         params=(radius,),
+        tail_antiderivative=tail,
     )
+
+
+def _x_minus_sin(x: np.ndarray) -> np.ndarray:
+    """x - sin(x), by its Taylor series below x = 1 where the difference cancels."""
+    series = sum((-1) ** k * x ** (2 * k + 3) / math.factorial(2 * k + 3) for k in range(8))
+    return np.where(x < 1.0, series, x - np.sin(x))
 
 
 def cosine_bump_kernel(dim: int, radius: float = 1.0) -> RadialKernel:
@@ -131,6 +144,15 @@ def cosine_bump_kernel(dim: int, radius: float = 1.0) -> RadialKernel:
     def profile(r):
         return raw(r) / mass
 
+    def tail(s):
+        # with u = pi (K - s) / K: int_s^K x (1 + cos(pi x / K)) dx
+        # = (K/pi)^2 [(pi - u)(u - sin u) + 2 (u/2 - sin(u/2)) (u/2 + sin(u/2))],
+        # a sum of non-negative terms, so nothing cancels as s -> K
+        u = np.pi * np.clip(1.0 - s / radius, 0.0, 1.0)
+        bracket = ((np.pi - u) * _x_minus_sin(u)
+                   + 2.0 * _x_minus_sin(0.5 * u) * (0.5 * u + np.sin(0.5 * u)))
+        return (radius / np.pi) ** 2 * bracket / (2.0 * mass)
+
     return RadialKernel(
         profile=profile,
         dim=dim,
@@ -139,6 +161,7 @@ def cosine_bump_kernel(dim: int, radius: float = 1.0) -> RadialKernel:
         breakpoints=(radius,),
         label=f"cosbump{dim}d",
         params=(radius,),
+        tail_antiderivative=tail,
     )
 
 
@@ -158,6 +181,10 @@ def power_tail_kernel(dim: int, beta: float) -> RadialKernel:
         r = np.asarray(r, dtype=float)
         return amp * (1.0 + r) ** (-beta)
 
+    def tail(s):
+        return (amp * (1.0 + s) ** (1.0 - beta) * (1.0 + (beta - 1.0) * s)
+                / ((beta - 1.0) * (beta - 2.0)))
+
     return RadialKernel(
         profile=profile,
         dim=dim,
@@ -167,6 +194,7 @@ def power_tail_kernel(dim: int, beta: float) -> RadialKernel:
         tail_start=1.0,
         label=f"powertail{dim}d",
         params=(beta,),
+        tail_antiderivative=tail,
     )
 
 
@@ -404,7 +432,10 @@ def j_tilde_center(kernel: RadialKernel, rho):
 
 
 def j_tilde_row(kernel: RadialKernel, r: float, rho, order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Jtilde(r, rho) for a fixed r and an array of sphere radii rho."""
+    """Jtilde(r, rho) for a fixed r and an array of sphere radii rho.
+
+    order (Gauss-Legendre nodes per angular panel) is unused where Jtilde is exact.
+    """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     out = np.zeros_like(rho)
     pos = rho > 0.0
@@ -414,6 +445,10 @@ def j_tilde_row(kernel: RadialKernel, r: float, rho, order: int = DEFAULT_ORDER)
         out[pos] = j_tilde_center(kernel, rho[pos])
         return out
     rp = rho[pos]
+    H = kernel.tail_antiderivative
+    if kernel.dim == 3 and H is not None:
+        out[pos] = 2.0 * math.pi * rp / r * (H(np.abs(r - rp)) - H(r + rp))
+        return out
     if kernel.kind == COMPACT:
         K = kernel.support_radius
         reach = np.abs(rp - r) < K
@@ -453,6 +488,11 @@ def j_tilde_split(kernel: RadialKernel, r: float, rho: float,
         raise ValueError("the hemisphere split is undefined at the center r = 0")
     if rho <= 0.0:
         return 0.0, 0.0
+    H = kernel.tail_antiderivative
+    if kernel.dim == 3 and H is not None:
+        # the polar angle pi/2 lies at chord length sqrt(r^2 + rho^2)
+        h = H(np.array([abs(r - rho), math.hypot(r, rho), r + rho]))
+        return tuple(float(2.0 * math.pi * rho / r * d) for d in h[:-1] - h[1:])
     rho_arr = np.array([rho])
     all_edges = _theta_breaks(kernel, r, rho_arr)
     if kernel.kind != COMPACT:

@@ -16,12 +16,13 @@ through the symmetry identity
 so growing the table copies the filled block and never evaluates old
 rows again.
 
-A table can be persisted to a small binary cache file (format v2): a
+A table can be persisted to a small binary cache file (format v3): a
 header naming the kernel, grid and block shape, the stored block row
 by row (band rows of width 2*bw + 1, or dense rows over the columns
 below rows_filled), then the dense kink corrections.  save() writes a
 temporary file and renames it into place; load() validates the whole
-file before adopting anything.
+file before adopting anything.  v3 keeps the v2 layout under a new tag,
+so N = 3 rows from angular quadrature (~1e-13 off exact) are not reused.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ import numpy as np
 from . import kernels as kmod
 from .kernels import RadialKernel
 
-MAGIC = b"NLFBKT2\x00"
+MAGIC = b"NLFBKT3\x00"
 #: dim, dr, kernel hash, rows, banded flag, stored row width, kink corrections
 _HEADER = struct.Struct("<id16siiii")
-#: Gauss-Legendre order per angular panel when sampling table entries
+#: Gauss-Legendre order per angular panel when sampling table entries by
+#: the angular rule (N = 2 and custom N = 3 kernels; exact entries ignore it)
 FILL_ORDER = 48
 
 
@@ -131,9 +133,6 @@ class KernelTables:
     @property
     def rows_filled(self) -> int:
         return self._rows_filled
-
-    def r_nodes(self, n: int) -> np.ndarray:
-        return np.arange(n) * self.dr
 
     def row_values(self, i: int, n_cols: int) -> np.ndarray:
         """Row i as a dense vector over columns 0..n_cols-1."""

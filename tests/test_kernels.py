@@ -1,7 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 
 from nlfb import (KernelValidationError, SolvabilityError, cosine_bump_kernel,
@@ -211,3 +215,115 @@ def test_kernel_hash_distinguishes():
     assert uniform_kernel(2).hash() != uniform_kernel(3).hash()
     assert uniform_kernel(2).hash() == uniform_kernel(2, 1.0).hash()
     assert power_tail_kernel(2, 3.0).hash() != power_tail_kernel(2, 3.5).hash()
+
+
+# ---------------------------------------------------------------------------
+# N = 3: Jtilde from the closed-form tail antiderivative
+# ---------------------------------------------------------------------------
+
+N3_KERNELS = [power_tail_kernel(3, b) for b in (3.3, 3.8, 4.5)] + [
+    uniform_kernel(3), cosine_bump_kernel(3)]
+
+
+def _jtilde3_quad(k, r, rho):
+    """(2 pi rho / r) int_{|r-rho|}^{r+rho} s J(s) ds by scipy quad."""
+    lo, hi = abs(r - rho), r + rho
+    if k.support_radius is not None:
+        hi = min(hi, k.support_radius)
+    if hi <= lo:
+        return 0.0
+    val = quad(lambda s: s * float(k(s)), lo, hi, epsabs=0.0, epsrel=1e-13,
+               limit=200)[0]
+    return 2.0 * math.pi * rho / r * val
+
+
+@pytest.mark.parametrize("k", N3_KERNELS, ids=lambda k: f"{k.label}{k.params}")
+@pytest.mark.parametrize("r", [0.05, 7.3, 125.0])
+def test_jtilde3_closed_form_matches_quad_and_angular_rule(k, r):
+    dr = 0.05
+    rho = np.geomspace(dr, 2.0 * r + 3.0, 40)
+    near = r + np.array([-0.9, -0.5, -0.1, 0.0, 0.2, 0.6, 0.95])
+    rho = np.unique(np.concatenate((rho, near[near > 0.0])))
+    got = j_tilde_row(k, r, rho)
+    exact = np.array([_jtilde3_quad(k, r, p) for p in rho])
+    scale = np.abs(exact).max() if k.kind == "compact" else np.abs(exact)
+    assert np.all(np.abs(got - exact) <= 1e-12 * scale)
+    angular = j_tilde_row(dataclasses.replace(k, tail_antiderivative=None),
+                          r, rho, 192)
+    assert np.all(np.abs(got - angular) <= 1e-10 * scale)
+    for p in rho[::6]:
+        plus, minus = j_tilde_split(k, r, p)
+        total = j_tilde(k, r, p)
+        tol = 1e-14 * (np.abs(exact).max() if k.kind == "compact" else total)
+        assert plus >= 0.0 and minus >= 0.0
+        assert abs(plus + minus - total) <= tol
+        ang_plus, _ = j_tilde_split(
+            dataclasses.replace(k, tail_antiderivative=None), r, p, 192)
+        assert abs(plus - ang_plus) <= 1e-10 * np.abs(exact).max()
+
+
+def test_cosine_bump_tail_antiderivative_near_support_edge():
+    # H(1 - e) = int_0^e (1 - x) J(1 - x) dx with J(1 - x) = J(0) sin^2(pi x / 2)
+    # is ~ pi^2 e^3 / 12 J(0), far below the O(1) terms of the textbook
+    # antiderivative; the sin^2 form keeps the oracle free of cancellation
+    k = cosine_bump_kernel(3)
+    j0 = float(k(0.0))
+    for s in (0.5, 0.99, 0.9999, 0.999999):
+        e = 1.0 - s  # exact in floating point
+        exact = j0 * quad(lambda x: (1.0 - x) * math.sin(0.5 * math.pi * x) ** 2,
+                          0.0, e, epsabs=0.0, epsrel=1e-13)[0]
+        got = float(k.tail_antiderivative(np.array(s)))
+        assert abs(got - exact) <= 1e-12 * exact, s
+    assert float(k.tail_antiderivative(np.array(1.5))) == 0.0
+
+
+def _outside_mass(k, radius):
+    """Mass of J outside the ball of the given radius (power tail, N = 3)."""
+    b, u = k.tail_exponent, 1.0 + radius
+    return 4.0 * math.pi * k.tail_scale * (
+        u ** (3.0 - b) / (b - 3.0) - 2.0 * u ** (2.0 - b) / (b - 2.0)
+        + u ** (1.0 - b) / (b - 1.0))
+
+
+def _remainder(k, r, h):
+    """int_h^inf Jtilde(r, rho) d rho for h > r: the mass of J(|x - y|) on |y| > h.
+
+    A shell |y - x| = s with h - r < s < h + r has the fraction
+    ((s + r)^2 - h^2) / (4 r s) of its area outside |y| = h.
+    """
+    shells = quad(lambda s: s * float(k(s)) * ((s + r) ** 2 - h * h),
+                  h - r, h + r, epsabs=0.0, epsrel=1e-12)[0]
+    return math.pi / r * shells + _outside_mass(k, h + r)
+
+
+N3_PROPERTY_KERNELS = st.one_of(
+    st.floats(3.1, 6.0).map(lambda b: power_tail_kernel(3, b)),
+    st.sampled_from([uniform_kernel(3), uniform_kernel(3, 2.5),
+                     cosine_bump_kernel(3), cosine_bump_kernel(3, 0.7)]))
+RADII = st.floats(1e-3, 300.0)
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                             database=None)
+
+
+@PROPERTY_SETTINGS
+@given(k=N3_PROPERTY_KERNELS, r=RADII, rho=RADII)
+def test_jtilde3_positive_and_symmetric(k, r, rho):
+    a = float(j_tilde_row(k, r, [rho])[0])
+    b = float(j_tilde_row(k, rho, [r])[0])
+    assert a >= 0.0 and b >= 0.0
+    lhs, rhs = r * r * a, rho * rho * b
+    assert abs(lhs - rhs) <= 1e-14 * max(lhs, rhs)
+
+
+@PROPERTY_SETTINGS
+@given(k=N3_PROPERTY_KERNELS, r=RADII)
+def test_jtilde3_row_integrates_to_one(k, r):
+    if k.kind == "compact":
+        total = interior_rho_integral(k, r, r + k.support_radius)
+    else:
+        h = r + 40.0
+        rest = _remainder(k, r, h)
+        # the mass beyond |y| = h lies between the masses outside radii h + r and h - r
+        assert _outside_mass(k, h + r) <= rest <= _outside_mass(k, h - r)
+        total = interior_rho_integral(k, r, h) + rest
+    assert abs(total - 1.0) <= 1e-10

@@ -197,6 +197,35 @@ def test_cache_rejects_v1_file(tmp_path, disc2):
     assert fresh.rows_filled == 0
 
 
+def test_cache_rejects_v2_file(tmp_path):
+    # v2 shares the v3 layout, but its N = 3 rows hold angular-quadrature values
+    tab = KernelTables(power_tail_kernel(3, 3.8), 0.25)
+    tab.tail_mass_vector(10, 9)
+    path = str(tmp_path / "v2.nlfbkt")
+    tab.save(path)
+    with open(path, "r+b") as fh:
+        fh.write(b"NLFBKT2\x00")
+    fresh = KernelTables(power_tail_kernel(3, 3.8), 0.25)
+    assert not fresh.load(path)
+    assert fresh.rows_filled == 0
+
+
+@pytest.mark.parametrize("dim, beta, exact", [(3, 3.8, True), (2, 2.8, False)])
+def test_exact_n3_tables_do_no_angular_quadrature(dim, beta, exact, monkeypatch):
+    calls = []
+    inner = kernels._j_tilde_panels
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return inner(*args, **kw)
+
+    monkeypatch.setattr(kernels, "_j_tilde_panels", counting)
+    tab = KernelTables(power_tail_kernel(dim, beta), 0.25)
+    tab.ensure(90, 90)
+    tab.tail_mass_vector(90, 89)
+    assert (len(calls) == 0) == exact
+
+
 def test_dense_cache_restores_kink_corrections(tmp_path, count_rows):
     k = power_tail_kernel(2, 3.5)
     tab = KernelTables(k, 0.25)
