@@ -37,8 +37,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from .errors import KernelValidationError, SolvabilityError
-from .quadrature import (gl_integrate, gl_panels, gl_rule, graded_edges_around,
-                         octave_integral)
+from .quadrature import gl_panels, gl_rule, graded_edges_around, octave_integral
 
 COMPACT = "compact"
 FAT_TAIL = "fat_tail"
@@ -139,7 +138,7 @@ def cosine_bump_kernel(dim: int, radius: float = 1.0) -> RadialKernel:
         r = np.asarray(r, dtype=float)
         return np.where(r <= radius, 0.5 * (1.0 + np.cos(np.pi * r / radius)), 0.0)
 
-    mass = wN * gl_integrate(lambda r: raw(r) * r ** (dim - 1), 0.0, radius, 96)
+    mass = wN * gl_panels(lambda r: raw(r) * r ** (dim - 1), [0.0, radius], 96)
 
     def profile(r):
         return raw(r) / mass
@@ -305,8 +304,11 @@ def j_star(kernel: RadialKernel, l) -> np.ndarray | float:
 def _j_star_abs(kernel: RadialKernel, ls: np.ndarray) -> np.ndarray:
     n = kernel.dim
     w = unit_sphere_area(n - 1)
-    x, gw = gl_rule(96)
     out = np.zeros_like(ls)
+
+    def f(s, l):
+        # s is (len(l), nodes) for per-l edges, or 1-D nodes shared by every l
+        return kernel(np.sqrt(l[:, None] ** 2 + s * s)) * s ** (n - 2)
 
     if kernel.kind == COMPACT:
         K = kernel.support_radius
@@ -323,21 +325,11 @@ def _j_star_abs(kernel: RadialKernel, ls: np.ndarray) -> np.ndarray:
             edge_list.append(np.minimum(sb, smax))
         edge_list.append(smax)
         edges = np.sort(np.stack(edge_list, axis=1), axis=1)
-        acc = np.zeros_like(li)
-        for p in range(edges.shape[1] - 1):
-            a, b_ = edges[:, p], edges[:, p + 1]
-            half = 0.5 * (b_ - a)
-            s = a[:, None] + half[:, None] * (x[None, :] + 1.0)
-            vals = kernel(np.sqrt(li[:, None] ** 2 + s * s)) * s ** (n - 2)
-            acc += half * (vals @ gw)
-        out[inside] = w * acc
+        out[inside] = w * gl_panels(lambda s: f(s, li), edges, 96)
         return out
 
     # unbounded support: one octave sum over s for every l at once
-    def f(s):
-        return kernel(np.sqrt(ls[:, None] ** 2 + s[None, :] ** 2)) * s[None, :] ** (n - 2)
-
-    return w * octave_integral(f)
+    return w * octave_integral(lambda s: f(s, ls))
 
 
 def j_star_first_moment(kernel: RadialKernel) -> float:
@@ -410,6 +402,10 @@ def _fat_theta_edges(r: float, rho: np.ndarray) -> np.ndarray:
 
 def _j_tilde_panels(kernel: RadialKernel, r: float, rho: np.ndarray,
                     edges: np.ndarray, order: int) -> np.ndarray:
+    # One panel at a time, not gl_panels: in the benchmark's fat_tail_front
+    # (seed 901, 2-vCPU Xeon VM) all panels at once raised peak RSS from
+    # 86.4 to 89.6-89.9 MB (+3.9 %), and one gl_panels call per panel made the
+    # N=2 beta=2.8 front 6-16 % slower (min of 3: 1.90-1.99 s -> 2.02-2.30 s).
     n = kernel.dim
     x, gw = gl_rule(order)
     acc = np.zeros_like(rho)
@@ -551,17 +547,9 @@ def _graded_union(lo: float, hi: float, kinks) -> np.ndarray:
     panel splitting resolves only to a few digits; grading restores
     fast convergence.
     """
-    width = hi - lo
-    pts = {lo, hi}
-    for k in kinks:
-        for j in range(1, 14):
-            step = width / 2.0 ** j
-            for cand in (k - step, k + step):
-                if lo < cand < hi:
-                    pts.add(cand)
-        if lo < k < hi:
-            pts.add(k)
-    return np.array(sorted(pts))
+    first = (hi - lo) / 2.0 ** 13
+    return np.unique(np.concatenate(
+        [graded_edges_around(k, lo, hi, first) for k in kinks]))
 
 
 def _rho_kinks(kernel: RadialKernel, r: float) -> list[float]:
@@ -577,15 +565,6 @@ def _rho_kinks(kernel: RadialKernel, r: float) -> list[float]:
     return pts
 
 
-def _refine(edges, factor: int) -> np.ndarray:
-    """Subdivide each panel into `factor` equal pieces."""
-    edges = np.asarray(edges, dtype=float)
-    out = [edges[0]]
-    for a, b in zip(edges[:-1], edges[1:]):
-        out.extend(np.linspace(a, b, factor + 1)[1:])
-    return np.asarray(out)
-
-
 def boundary_flux(kernel: RadialKernel, h: float, order: int = 24) -> float:
     """F(h) = int_0^h int_h^inf Jtilde(r, rho) d rho d r.
 
@@ -595,7 +574,7 @@ def boundary_flux(kernel: RadialKernel, h: float, order: int = 24) -> float:
     """
     if kernel.kind == COMPACT:
         lo = max(0.0, h - kernel.support_radius)
-        outer_edges = _refine([lo, h], 6)
+        outer_edges = np.linspace(lo, h, 7)
     else:
         outer_edges = graded_edges_around(h, 0.0, h, first=1.0)
     return gl_panels(lambda rs: np.array([outward_rho_integral(kernel, r, h) for r in rs]),

@@ -1,8 +1,12 @@
 """Gauss-Legendre panel quadrature helpers.
 
-All integration in the kernel machinery is built from fixed-order
-Gauss-Legendre rules applied panel by panel, so results are fully
-deterministic: no adaptive subdivision is driven by error estimates.
+Every integral in the kernel machinery is a sum of fixed-order
+Gauss-Legendre panels, so results are deterministic: no adaptive
+subdivision is driven by error estimates.  gl_panels is the one panel
+rule: it calls the integrand once, on the nodes of every panel of one
+edge list or of k lists.  Only kernels._j_tilde_panels loops over its
+panels itself: all its panels at once raise the peak memory of a dense
+fat-tail table fill, and one call per panel is slower (measured there).
 
 Half-line integrals int_a^inf f go through octave_integral, which sums
 panels [a, a + w], [a + w, a + 3w], ... whose widths double, so a
@@ -54,22 +58,20 @@ def gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gl_integrate(f, a: float, b: float, order: int = 64) -> float:
-    """Integrate f over [a, b] with a single Gauss-Legendre panel."""
-    if b <= a:
-        return 0.0
+def gl_panels(f, edges, order: int = 64):
+    """Integrate f over the panels between consecutive sorted edges.
+
+    edges is one edge list (the result is a float) or a (k, p+1) array of
+    k lists (a length-k array).  f is called once, on nodes of shape
+    (p*order,) or (k, p*order); from 1-D nodes it may return (k, nodes).
+    """
     x, w = gl_rule(order)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return float(half * np.dot(w, f(mid + half * x)))
-
-
-def gl_panels(f, edges, order: int = 64) -> float:
-    """Integrate f over consecutive panels given by sorted edge list."""
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        total += gl_integrate(f, a, b, order)
-    return total
+    e = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(e, axis=-1)
+    nodes = e[..., :-1, None] + half[..., None] * (x + 1.0)
+    vals = np.asarray(f(nodes.reshape(*e.shape[:-1], -1)), dtype=float)
+    parts = vals.reshape(*vals.shape[:-1], half.shape[-1], order) @ w
+    return (half * parts).sum(axis=-1)
 
 
 def graded_edges_around(center: float, a: float, b: float, first: float = 0.5) -> np.ndarray:
@@ -86,9 +88,9 @@ def graded_edges_around(center: float, a: float, b: float, first: float = 0.5) -
     step = first
     lo, hi = center - step, center + step
     while lo > a or hi < b:
-        if a < lo:
+        if a < lo < b:
             pts.add(lo)
-        if hi < b:
+        if a < hi < b:
             pts.add(hi)
         step *= 2.0
         lo, hi = center - step, center + step
@@ -103,14 +105,12 @@ def octave_integral(f, a: float = 0.0, first: float = 1.0):
     finished when every entry meets one of the stopping rules, with inf
     in the entries that meet none within OCTAVE_CAP octaves.
     """
-    x, w = gl_rule(OCTAVE_ORDER)
     lo, width = a, first
     total = 0.0
     prev = q_prev = math.nan
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(OCTAVE_CAP):
-            half = 0.5 * width
-            part = half * (np.asarray(f(lo + half + half * x), dtype=float) @ w)
+            part = gl_panels(f, [lo, lo + width], OCTAVE_ORDER)
             total = total + part
             lo += width
             width *= 2.0

@@ -37,12 +37,13 @@ from .quadrature import gl_panels, octave_integral
 from .reactions import Reaction
 
 
-def _half_line_integral(p, support: float, weight=None):
-    """int_0^inf w(x) p(x) dx for an even density p; math.inf when divergent."""
-    f = p if weight is None else (lambda x: weight(x) * p(x))
+def _integral_beyond(f, y: float, support: float, panels: int):
+    """int_y^inf f(x) dx, y >= 0, for f vanishing beyond support; math.inf when divergent."""
+    if y >= support:
+        return 0.0
     if math.isfinite(support):
-        return gl_panels(f, np.linspace(0.0, support, 8), 64)
-    return octave_integral(f)
+        return gl_panels(f, np.linspace(y, support, panels + 1), 64)
+    return octave_integral(f, y, max(y, 1.0))
 
 
 @dataclass
@@ -57,33 +58,20 @@ class Marginal1D:
 
     def __post_init__(self):
         if self.norm1 is None:
-            self.norm1 = 2.0 * _half_line_integral(self.p, self.support)
+            self.norm1 = 2.0 * _integral_beyond(self.p, 0.0, self.support, 7)
         if self.moment1 is None:
-            self.moment1 = _half_line_integral(self.p, self.support,
-                                               weight=lambda x: x)
+            self.moment1 = _integral_beyond(lambda x: x * self.p(x), 0.0, self.support, 7)
 
     def __call__(self, x):
         return self.p(np.abs(np.asarray(x, dtype=float)))
 
     def tail_beyond(self, y: float) -> float:
         """int_y^inf P(x) dx, y >= 0."""
-        if y >= self.support:
-            return 0.0
-        if math.isfinite(self.support):
-            return gl_panels(self.p, np.linspace(y, self.support, 6), 64)
-        return octave_integral(self.p, y, max(y, 1.0))
+        return _integral_beyond(self.p, y, self.support, 5)
 
     def partial_first_moment_beyond(self, y: float) -> float:
         """int_y^inf (x - y) P(x) dx, y >= 0 (finite first moment assumed)."""
-        if y >= self.support:
-            return 0.0
-
-        def f(x):
-            return (x - y) * self.p(x)
-
-        if math.isfinite(self.support):
-            return gl_panels(f, np.linspace(y, self.support, 6), 64)
-        return octave_integral(f, y, max(y, 1.0))
+        return _integral_beyond(lambda x: (x - y) * self.p(x), y, self.support, 5)
 
 
 def marginal_from_kernel(kernel: RadialKernel) -> Marginal1D:

@@ -179,7 +179,7 @@ class KernelTables:
         around the peak; tail masses subtract it so their error decays
         with the true tail instead of stalling at the quadrature bias.
         """
-        from .quadrature import gl_rule, graded_edges_around
+        from .quadrature import gl_panels, graded_edges_around
 
         with self._lock:
             if self._kink_corr.size >= n:
@@ -187,7 +187,6 @@ class KernelTables:
             old = self._kink_corr
             corr = np.empty(n)
             corr[:old.size] = old
-            x, gw = gl_rule(32)
             reach = int(round(max(2.0, 4.0 * self.dr) / self.dr))
             for i in range(old.size, n):
                 r = i * self.dr
@@ -198,10 +197,8 @@ class KernelTables:
                 trap = float(np.trapezoid(grid, dx=self.dr))
                 edges = graded_edges_around(r, a_idx * self.dr, b_idx * self.dr,
                                             first=self.dr / 4.0)
-                half = 0.5 * np.diff(edges)
-                nodes = edges[:-1, None] + half[:, None] * (x + 1.0)
-                vals = kmod.j_tilde_row(self.kernel, r, nodes.ravel(), 32)
-                corr[i] = float(np.dot(half, vals.reshape(nodes.shape) @ gw)) - trap
+                corr[i] = gl_panels(lambda rho: kmod.j_tilde_row(self.kernel, r, rho, 32),
+                                    edges, 32) - trap
             self._kink_corr = corr
             return self._kink_corr[:n]
 

@@ -167,6 +167,32 @@ def test_interior_plus_outward_is_one(disc2):
         assert abs(s - 1.0) < 1e-6
 
 
+def _interior_quad(k, r, h):
+    """int_0^h w_{N-1} rho^{N-1} int_0^pi sin^{N-2} t J(chord) dt d rho by scipy quad."""
+    n = k.dim
+    w = 2.0 if n == 2 else 2.0 * math.pi
+
+    def shell(rho):
+        def g(t):
+            return math.sin(t) ** (n - 2) * float(
+                k(math.sqrt(r * r + rho * rho - 2.0 * r * rho * math.cos(t))))
+        return w * rho ** (n - 1) * quad(g, 0.0, math.pi, epsabs=0.0,
+                                         epsrel=1e-13, limit=200)[0]
+
+    return quad(shell, 0.0, h, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+
+@pytest.mark.parametrize("k", [power_tail_kernel(2, 2.8), power_tail_kernel(3, 3.8)],
+                         ids=lambda k: f"{k.label}{k.params}")
+def test_fat_tail_rho_integrals_outside_the_ball_match_quad(k):
+    # r > h + 0.5: the graded panels must stop at rho = h, not run on toward r
+    for r, h in ((4.0, 3.0), (8.0, 6.0), (20.0, 3.0)):
+        exact = _interior_quad(k, r, h)
+        inner = interior_rho_integral(k, r, h)
+        assert abs(inner - exact) <= 1e-12 * exact, (r, h, inner, exact)
+        assert abs(outward_rho_integral(k, r, h) - (1.0 - exact)) <= 1e-12, (r, h)
+
+
 def test_jtilde_split_partition(ball3):
     plus, minus = j_tilde_split(ball3, 0.25, 0.25)
     assert abs(plus - 0.09375) < 1e-9

@@ -6,7 +6,7 @@ import pytest
 from nlfb import (Marginal1D, SemiWaveProblem, SolvabilityError, logistic,
                   marginal_from_kernel, power_tail_kernel, solve_semiwave,
                   speed_from_kernel)
-from nlfb.semiwave import u_star_hat
+from nlfb.semiwave import _Discretization, _scalar_reaction, u_star_hat
 
 
 def _bump(height: float, half_width: float) -> Marginal1D:
@@ -156,3 +156,16 @@ def test_marginal_from_kernel_matches_jstar(disc2):
     assert abs(P.norm1 - 1.0) < 1e-6
     assert abs(P.moment1 - 2.0 / (3.0 * math.pi)) < 1e-8
     assert abs(float(P(0.0)) - 2.0 / math.pi) < 1e-8
+
+
+@pytest.mark.parametrize("d, mu, c", [(1.0, 1.0, 0.12), (0.5, 10.0, 0.3)])
+def test_newton_profile_matches_picard(disc2, logistic_f, d, mu, c):
+    # the Newton fallback of solve_profile solves the same discrete equations
+    prob = SemiWaveProblem(P=marginal_from_kernel(disc2), d=d, mu=mu, f=logistic_f)
+    ustar = u_star_hat(prob.P, d, logistic_f)
+    disc = _Discretization(prob, ustar)
+    guess = ustar * (1.0 - np.exp(disc.x))
+    picard = disc.solve_profile(c, logistic_f, guess)
+    newton = disc._newton_profile(c, _scalar_reaction(logistic_f), guess,
+                                  prob.tol_picard * max(ustar, 1.0))
+    assert np.abs(newton - picard).max() <= 1e-8
