@@ -265,7 +265,7 @@ def cmd_sweep(args) -> int:
     cfg = cfgmod.parse_config(args.config)
     template = cfgmod.runconfig_from_config(cfg)
     values = [float(v) for v in args.values.split(",")] if args.values else []
-    rows = run_sweep(template, args.param, values, jobs=args.jobs)
+    rows = run_sweep(template, args.param, values)
     out_dir = cfgmod.out_dir_from_config(cfg)
     manifest = _Manifest("sweep", cfg, template.kernel.hash())
     path = os.path.join(out_dir, "sweep.csv")
@@ -323,7 +323,6 @@ def build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--param", required=True, choices=SWEEPABLE)
     p.add_argument("--values", required=True)
-    p.add_argument("--jobs", type=int, default=4)
     return parser
 
 

@@ -15,10 +15,13 @@ verdict otherwise.
 Numerics: for a trial speed c the profile equation is solved by Picard
 iteration that freezes the convolution term and integrates the
 remaining first-order equation upwind from x = 0 leftward; the speed is
-then pinned by bisection on g(c) = c - c_map(c), where c_map evaluates
+then pinned by brentq on g(c) = c - c_map(c), where c_map evaluates
 the flux integral on the computed profile.  The domain truncation at
 x = -M is corrected analytically by treating phi as the constant
-u_star_hat beyond the window.
+u_star_hat beyond the window.  A profile that rises anywhere is not a
+semi-wave (the explicit march is unstable once dx (d - f'(u_star_hat)) / c
+exceeds 2), and neither is one that still misses the plateau at M_cap:
+both raise NumericalError.
 """
 
 from __future__ import annotations
@@ -328,17 +331,24 @@ def solve_semiwave(prob: SemiWaveProblem) -> SemiWaveSolution:
             "condition fails)")
     ustar = u_star_hat(P, prob.d, prob.f)
 
+    tol = prob.tol_tail * max(1.0, ustar)
     M = prob.M
-    for _round in range(6):
+    while True:
         prob.M = M
-        disc = _Discretization(prob, ustar)
-        sol = _solve_at_truncation(prob, disc, ustar)
-        gap = ustar - sol.phi[0]
-        if gap < prob.tol_tail * max(1.0, ustar) or M >= prob.M_cap:
-            sol.tail_gap = float(gap)
+        sol = _solve_at_truncation(prob, _Discretization(prob, ustar), ustar)
+        rise = float(np.diff(sol.phi).max())
+        if rise > tol:
+            raise NumericalError(
+                f"profile at c = {sol.c0:.6g} rises by {rise:.2g}: not a semi-wave; "
+                "refine dx")
+        # signed: converged compact profiles sit just above the plateau
+        if sol.tail_gap < tol:
             return sol
+        if M >= prob.M_cap:
+            raise NumericalError(
+                f"tail gap {sol.tail_gap:.2g} at M_cap = {prob.M_cap:g}: the "
+                "profile never reaches the plateau")
         M = min(2.0 * M, prob.M_cap)
-    return sol
 
 
 def _solve_at_truncation(prob: SemiWaveProblem, disc: _Discretization,
@@ -352,9 +362,9 @@ def _solve_at_truncation(prob: SemiWaveProblem, disc: _Discretization,
 
     # c_map(phi) <= mu ustar int_0^inf y P(y) dy for any profile below the
     # plateau, so the root lies under this bound; keeping c_hi tight also
-    # keeps the bisection away from the slow region near the minimal wave
+    # keeps the root search away from the slow region near the minimal wave
     # speed, where phi detaches from the plateau
-    c_hi = prob.mu * ustar * P_moment(prob.P) * (1.0 + 1e-6) + 1e-9
+    c_hi = prob.mu * ustar * prob.P.moment1 * (1.0 + 1e-6) + 1e-9
     c_lo = min(1e-3 * c_hi, 0.1)
     while g(c_lo) > 0.0:
         c_lo *= 0.25
@@ -364,13 +374,7 @@ def _solve_at_truncation(prob: SemiWaveProblem, disc: _Discretization,
         c_hi *= 2.0
         if c_hi > 1e6:
             raise NumericalError("speed upper bound violated; check P and f")
-    while c_hi - c_lo > prob.tol_speed * max(1.0, c_lo):
-        mid = 0.5 * (c_lo + c_hi)
-        if g(mid) <= 0.0:
-            c_lo = mid
-        else:
-            c_hi = mid
-    c0 = 0.5 * (c_lo + c_hi)
+    c0 = brentq(g, c_lo, c_hi, xtol=prob.tol_speed * max(1.0, c_lo))
     phi = disc.solve_profile(c0, prob.f, phi)
     return SemiWaveSolution(
         c0=float(c0),
@@ -385,12 +389,6 @@ def _solve_at_truncation(prob: SemiWaveProblem, disc: _Discretization,
         moment1=prob.P.moment1,
         tail_gap=float(ustar - phi[0]),
     )
-
-
-def P_moment(P: Marginal1D) -> float:
-    if not math.isfinite(P.moment1):
-        raise SolvabilityError("first moment of P diverges")
-    return P.moment1
 
 
 def speed_from_kernel(kernel: RadialKernel, d: float, mu: float, f: Reaction,

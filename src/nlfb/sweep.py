@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 from . import kernels as kmod
 from .fitting import estimate_speed
@@ -30,11 +29,11 @@ def _config_for(template: RunConfig, parameter: str, value: float) -> RunConfig:
     return dataclasses.replace(template, **{parameter: value})
 
 
-def sweep(template: RunConfig, parameter: str, values, jobs: int = 4) -> list[SweepRow]:
-    """Run one simulation per value; failures become rows, not crashes.
+def sweep(template: RunConfig, parameter: str, values, jobs: int = 1) -> list[SweepRow]:
+    """Run one simulation per value, in input order; failures become rows, not crashes.
 
-    Simulations sharing the same kernel reuse one immutable table set.
-    Row order follows the input order regardless of completion order.
+    Simulations sharing the same kernel reuse one table set.  ``jobs`` is
+    ignored: rows always run one after another.
     """
     if parameter not in SWEEPABLE:
         raise ValueError(f"parameter must be one of {SWEEPABLE}")
@@ -64,5 +63,4 @@ def sweep(template: RunConfig, parameter: str, values, jobs: int = 4) -> list[Sw
             return SweepRow(value=value, verdict="Error", h_final=math.nan,
                             speed_est=math.nan, error=str(exc))
 
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        return list(pool.map(one, values))
+    return [one(v) for v in values]

@@ -4,8 +4,7 @@ KernelTables holds Jtilde(r_i, rho_j) sampled on the uniform grid
 r_i = i * dr.  Compactly supported kernels store only the diagonal band
 |r - rho| < support_radius (everything else is exactly zero); fat-tail
 kernels store a dense square block of rows and columns below
-rows_filled.  Rows are filled lazily under a lock so that completed
-rows can be read concurrently.
+rows_filled.  Rows are filled lazily.
 
 A new dense row i gets only its lower triangle j <= i by quadrature;
 row 0 is the exact center formula, and the upper triangle is mirrored
@@ -30,7 +29,6 @@ from __future__ import annotations
 import contextlib
 import os
 import struct
-import threading
 
 import numpy as np
 
@@ -69,7 +67,6 @@ class KernelTables:
             self.bw = int(np.ceil(kernel.support_radius / dr)) + 1
         else:
             self.bw = 0
-        self._lock = threading.RLock()
         self._rows_filled = 0
         self._cap = 0
         self._data = np.zeros((0, 0))
@@ -105,30 +102,29 @@ class KernelTables:
         A dense table fills the square block of max(n_rows, n_cols) rows
         and columns.
         """
-        with self._lock:
-            if self.banded:
-                if n_rows > self._data.shape[0]:
-                    grown = np.zeros((max(n_rows, 2 * self._data.shape[0] + 16),
-                                      2 * self.bw + 1))
-                    if self._rows_filled:
-                        grown[:self._rows_filled] = self._data[:self._rows_filled]
-                    self._data = grown
-                for i in range(self._rows_filled, n_rows):
-                    self._fill_row(i)
-                self._rows_filled = max(self._rows_filled, n_rows)
-                return
-            n = n_rows if n_cols is None else max(n_rows, n_cols)
-            filled = self._rows_filled
-            if n <= filled:
-                return
-            if n > self._cap:
-                new_cap = max(n, int(1.5 * self._cap) + 16)
-                grown = np.zeros((new_cap, new_cap))
-                grown[:filled, :filled] = self._data[:filled, :filled]
+        if self.banded:
+            if n_rows > self._data.shape[0]:
+                grown = np.zeros((max(n_rows, 2 * self._data.shape[0] + 16),
+                                  2 * self.bw + 1))
+                if self._rows_filled:
+                    grown[:self._rows_filled] = self._data[:self._rows_filled]
                 self._data = grown
-                self._cap = new_cap
-            self._fill_dense(filled, n)
-            self._rows_filled = n
+            for i in range(self._rows_filled, n_rows):
+                self._fill_row(i)
+            self._rows_filled = max(self._rows_filled, n_rows)
+            return
+        n = n_rows if n_cols is None else max(n_rows, n_cols)
+        filled = self._rows_filled
+        if n <= filled:
+            return
+        if n > self._cap:
+            new_cap = max(n, int(1.5 * self._cap) + 16)
+            grown = np.zeros((new_cap, new_cap))
+            grown[:filled, :filled] = self._data[:filled, :filled]
+            self._data = grown
+            self._cap = new_cap
+        self._fill_dense(filled, n)
+        self._rows_filled = n
 
     @property
     def rows_filled(self) -> int:
@@ -163,10 +159,9 @@ class KernelTables:
         if not self.banded:
             return np.ones(n)
         self.ensure(n)
-        with self._lock:
-            if self._row_mass.size < n:
-                # band endpoints are zero, so the trapezoid is a plain sum
-                self._row_mass = self._data[:self._rows_filled].sum(axis=1) * self.dr
+        if self._row_mass.size < n:
+            # band endpoints are zero, so the trapezoid is a plain sum
+            self._row_mass = self._data[:self._rows_filled].sum(axis=1) * self.dr
         return self._row_mass[:n]
 
     def _kink_corrections(self, n: int) -> np.ndarray:
@@ -181,26 +176,25 @@ class KernelTables:
         """
         from .quadrature import gl_panels, graded_edges_around
 
-        with self._lock:
-            if self._kink_corr.size >= n:
-                return self._kink_corr[:n]
-            old = self._kink_corr
-            corr = np.empty(n)
-            corr[:old.size] = old
-            reach = int(round(max(2.0, 4.0 * self.dr) / self.dr))
-            for i in range(old.size, n):
-                r = i * self.dr
-                a_idx, b_idx = max(0, i - reach), i + reach
-                grid = kmod.j_tilde_row(
-                    self.kernel, r, np.arange(a_idx, b_idx + 1) * self.dr,
-                    FILL_ORDER)
-                trap = float(np.trapezoid(grid, dx=self.dr))
-                edges = graded_edges_around(r, a_idx * self.dr, b_idx * self.dr,
-                                            first=self.dr / 4.0)
-                corr[i] = gl_panels(lambda rho: kmod.j_tilde_row(self.kernel, r, rho, 32),
-                                    edges, 32) - trap
-            self._kink_corr = corr
+        if self._kink_corr.size >= n:
             return self._kink_corr[:n]
+        old = self._kink_corr
+        corr = np.empty(n)
+        corr[:old.size] = old
+        reach = int(round(max(2.0, 4.0 * self.dr) / self.dr))
+        for i in range(old.size, n):
+            r = i * self.dr
+            a_idx, b_idx = max(0, i - reach), i + reach
+            grid = kmod.j_tilde_row(
+                self.kernel, r, np.arange(a_idx, b_idx + 1) * self.dr,
+                FILL_ORDER)
+            trap = float(np.trapezoid(grid, dx=self.dr))
+            edges = graded_edges_around(r, a_idx * self.dr, b_idx * self.dr,
+                                        first=self.dr / 4.0)
+            corr[i] = gl_panels(lambda rho: kmod.j_tilde_row(self.kernel, r, rho, 32),
+                                edges, 32) - trap
+        self._kink_corr = corr
+        return self._kink_corr[:n]
 
     def conv(self, weighted_u: np.ndarray) -> np.ndarray:
         """Row-wise dot products sum_j Jtilde(r_i, rho_j) v_j, i < len(v).
@@ -279,11 +273,10 @@ class KernelTables:
 
     def jstar_vals(self, n: int) -> np.ndarray:
         """Jstar at l = k*dr for k < n (cached)."""
-        with self._lock:
-            if self._jstar_cache.size < n:
-                self._jstar_cache = np.asarray(
-                    kmod.j_star(self.kernel, np.arange(n) * self.dr))
-            return self._jstar_cache[:n]
+        if self._jstar_cache.size < n:
+            self._jstar_cache = np.asarray(
+                kmod.j_star(self.kernel, np.arange(n) * self.dr))
+        return self._jstar_cache[:n]
 
     # -- persistence ----------------------------------------------------------
 
@@ -293,9 +286,9 @@ class KernelTables:
 
     def save(self, path: str) -> None:
         """Write the filled rows and kink corrections to path atomically."""
-        tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+        tmp = f"{path}.{os.getpid()}.tmp"
         try:
-            with open(tmp, "wb") as fh, self._lock:
+            with open(tmp, "wb") as fh:
                 n = self._rows_filled
                 width = self._row_width(n)
                 block = self._data[:n, :width]
@@ -344,12 +337,11 @@ class KernelTables:
         if parsed is None:
             return False
         block, corr = parsed
-        with self._lock:
-            self._data = block
-            self._cap = 0 if self.banded else block.shape[0]
-            self._rows_filled = block.shape[0]
-            self._row_mass = np.zeros(0)
-            self._kink_corr = corr
+        self._data = block
+        self._cap = 0 if self.banded else block.shape[0]
+        self._rows_filled = block.shape[0]
+        self._row_mass = np.zeros(0)
+        self._kink_corr = corr
         return True
 
     def cache_path(self, directory: str | None = None) -> str:

@@ -163,9 +163,12 @@ def test_sweep_csv(tmp_path):
     path = _cfg(tmp_path, f"kernel.kind = uniform\nN = 2\nh0 = 1.5\ndr = 0.1\n"
                           f"t_end = 3\nout_dir = {out}\n")
     assert dispatch(["sweep", "--config", path, "--param", "mu",
-                     "--values", "0.5,1.0", "--jobs", "2"]) == EXIT_OK
+                     "--values", "0.5,1.0"]) == EXIT_OK
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0] == "value,verdict,h_final,speed_est,error"
     assert len(lines) == 3
     assert lines[1].startswith("0.5,")
     assert lines[2].startswith("1.0,")
+    # sweeps run their rows in order; there is no worker count to set
+    assert dispatch(["sweep", "--config", path, "--param", "mu",
+                     "--values", "0.5,1.0", "--jobs", "2"]) == EXIT_USAGE

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from nlfb import (Marginal1D, SemiWaveProblem, SolvabilityError, logistic,
-                  marginal_from_kernel, power_tail_kernel, solve_semiwave,
-                  speed_from_kernel)
+from nlfb import (Marginal1D, NumericalError, SemiWaveProblem, SolvabilityError,
+                  logistic, marginal_from_kernel, power_tail_kernel, solve_semiwave,
+                  speed_from_kernel, uniform_kernel)
+from nlfb import semiwave
 from nlfb.semiwave import _Discretization, _scalar_reaction, u_star_hat
 
 
@@ -169,3 +170,29 @@ def test_newton_profile_matches_picard(disc2, logistic_f, d, mu, c):
     newton = disc._newton_profile(c, _scalar_reaction(logistic_f), guess,
                                   prob.tol_picard * max(ustar, 1.0))
     assert np.abs(newton - picard).max() <= 1e-8
+
+
+@pytest.mark.parametrize("d", [1.0, 2.0])
+def test_rising_profile_is_rejected_in_the_first_round(monkeypatch, logistic_f, d):
+    # at mu = 0.1 the root search lands where dx (d + 1) / c > 2 and the
+    # leftward march oscillates instead of settling on the plateau
+    rounds = []
+    inner = semiwave._solve_at_truncation
+
+    def counting(prob, disc, ustar):
+        rounds.append(prob.M)
+        return inner(prob, disc, ustar)
+
+    monkeypatch.setattr(semiwave, "_solve_at_truncation", counting)
+    prob = SemiWaveProblem(P=marginal_from_kernel(uniform_kernel(2)), d=d, mu=0.1,
+                           f=logistic_f)
+    with pytest.raises(NumericalError, match="rises"):
+        solve_semiwave(prob)
+    assert rounds == [20.0]  # the first window, SemiWaveProblem.M
+
+
+def test_unconverged_tail_at_M_cap_is_rejected(logistic_f):
+    prob = SemiWaveProblem(P=marginal_from_kernel(power_tail_kernel(2, 4.0)), d=1.0,
+                           mu=1.0, f=logistic_f, tol_tail=1e-4, M_cap=20.0)
+    with pytest.raises(NumericalError, match="M_cap"):
+        solve_semiwave(prob)

@@ -1,6 +1,5 @@
 import os
 import struct
-import threading
 
 import numpy as np
 import pytest
@@ -289,46 +288,18 @@ def test_cache_dir_env(monkeypatch, tmp_path):
     assert cache_dir() == os.path.join(".", ".nlfb_cache")
 
 
-def test_concurrent_fills_are_consistent(disc2):
-    tab = KernelTables(disc2, 0.1)
-    results = [None] * 8
-
-    def worker(idx):
-        tab.ensure(20 + 3 * idx)
-        results[idx] = _entry(tab, 5, 8)
-
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len({r for r in results}) == 1
-    direct = j_tilde(disc2, 0.5, 0.8)
-    assert abs(results[0] - direct) < 1e-8
-
-
-def test_concurrent_dense_growth_matches_serial_fill():
-    import sys
-
+def test_dense_growth_matches_single_fill():
+    """Growing a dense table in uneven steps gives the entries of one fill."""
     k = power_tail_kernel(2, 3.5)
     tab = KernelTables(k, 0.25)
-    sizes = [5, 23, 9, 41, 17, 60, 33, 50]
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=tab.ensure, args=(n, n + 1)) for n in sizes]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    serial = KernelTables(k, 0.25)
-    serial.ensure(61)
+    for n in [5, 23, 9, 41, 17, 60, 33, 50]:
+        tab.ensure(n, n + 1)
+    tab.ensure(61)
+    single = KernelTables(k, 0.25)
+    single.ensure(61)
     assert tab.rows_filled == 61
     block = np.stack([tab.row_values(i, 61) for i in range(61)])
-    expect = np.stack([serial.row_values(i, 61) for i in range(61)])
+    expect = np.stack([single.row_values(i, 61) for i in range(61)])
     assert np.array_equal(block, expect)
 
 
