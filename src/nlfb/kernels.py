@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.special import betainc
 from scipy.special import gamma as gamma_fn
 
 from .errors import KernelValidationError, SolvabilityError
@@ -47,6 +48,8 @@ CUSTOM = "custom"
 DEFAULT_ORDER = 64
 #: relative agreement required between consecutive quadrature orders
 ORDER_DOUBLING_TOL = 1e-9
+#: Gauss-Legendre order of each half panel of shell_mass
+SHELL_ORDER = 48
 
 
 def unit_sphere_area(k: int) -> float:
@@ -422,6 +425,11 @@ def _j_tilde_panels(kernel: RadialKernel, r: float, rho: np.ndarray,
     return unit_sphere_area(n - 1) * rho ** (n - 1) * acc
 
 
+def _exact_n3(kernel: RadialKernel) -> bool:
+    """True when Jtilde has the closed form (2 pi rho / r)(H(|r - rho|) - H(r + rho))."""
+    return kernel.dim == 3 and kernel.tail_antiderivative is not None
+
+
 def j_tilde_center(kernel: RadialKernel, rho):
     """Jtilde(0, rho) = w_N rho^{N-1} J(rho), exact: J is constant on the sphere."""
     return unit_sphere_area(kernel.dim) * rho ** (kernel.dim - 1) * kernel(rho)
@@ -441,8 +449,8 @@ def j_tilde_row(kernel: RadialKernel, r: float, rho, order: int = DEFAULT_ORDER)
         out[pos] = j_tilde_center(kernel, rho[pos])
         return out
     rp = rho[pos]
-    H = kernel.tail_antiderivative
-    if kernel.dim == 3 and H is not None:
+    if _exact_n3(kernel):
+        H = kernel.tail_antiderivative
         out[pos] = 2.0 * math.pi * rp / r * (H(np.abs(r - rp)) - H(r + rp))
         return out
     if kernel.kind == COMPACT:
@@ -469,6 +477,8 @@ def j_tilde(kernel: RadialKernel, r: float, rho: float,
     if rho <= 0.0:
         return 0.0
     prev = float(j_tilde_row(kernel, r, np.array([rho]), order)[0])
+    if r == 0.0 or _exact_n3(kernel):
+        return prev  # exact: order is ignored, a second call gives the same value
     for _ in range(3):
         cur = float(j_tilde_row(kernel, r, np.array([rho]), 2 * order)[0])
         if abs(cur - prev) <= ORDER_DOUBLING_TOL * max(1.0, abs(cur)):
@@ -484,10 +494,9 @@ def j_tilde_split(kernel: RadialKernel, r: float, rho: float,
         raise ValueError("the hemisphere split is undefined at the center r = 0")
     if rho <= 0.0:
         return 0.0, 0.0
-    H = kernel.tail_antiderivative
-    if kernel.dim == 3 and H is not None:
+    if _exact_n3(kernel):
         # the polar angle pi/2 lies at chord length sqrt(r^2 + rho^2)
-        h = H(np.array([abs(r - rho), math.hypot(r, rho), r + rho]))
+        h = kernel.tail_antiderivative(np.array([abs(r - rho), math.hypot(r, rho), r + rho]))
         return tuple(float(2.0 * math.pi * rho / r * d) for d in h[:-1] - h[1:])
     rho_arr = np.array([rho])
     all_edges = _theta_breaks(kernel, r, rho_arr)
@@ -505,20 +514,83 @@ def j_tilde_split(kernel: RadialKernel, r: float, rho: float,
 # rho-integrals of Jtilde and the boundary flux
 # ---------------------------------------------------------------------------
 
+def shell_mass(kernel: RadialKernel, r, a, b):
+    """int_a^b Jtilde(r, rho) d rho: the mass of J(|x - y|) over a < |y| < b, |x| = r.
+
+    Polar coordinates around x make it one integral over s = |y - x|,
+
+        int_a^b Jtilde(r, rho) d rho = int_0^{r+b} J(s) s^{N-1} Omega(s) ds,
+
+    Omega(s) being the measure of the directions from x whose point at
+    distance s lies in the shell.  That point lies inside |y| < c when the
+    cosine of its angle to x is below c_c = clip((c^2 - r^2 - s^2) / (2 r s),
+    -1, 1), so Omega = 2 (arccos c_a - arccos c_b) for N = 2,
+    2 pi (c_b - c_a) for N = 3, and w_N (I_{(1-c_a)/2}(m, m) -
+    I_{(1-c_b)/2}(m, m)) with m = (N-1)/2 in general (I the regularized
+    incomplete beta function).  At r = 0, c_c = +-1.
+
+    Omega has corners (square roots for N = 2) only at s in
+    {|r - a|, r + a, |b - r|, r + b}.  [0, r + b] is split there and at
+    the kernel's breakpoints, each piece is halved, and each half takes
+    s = end +- u^2 toward its own end, which makes a square root there
+    smooth in u, and one SHELL_ORDER-point Gauss-Legendre rule.  r, a and
+    b (0 <= a <= b) broadcast together.
+    """
+    r, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (r, a, b)))
+    n = kernel.dim
+    top = r + b
+    cuts = [np.zeros_like(r), np.abs(r - a), r + a, np.abs(b - r), top,
+            *(np.full_like(r, bp) for bp in kernel.breakpoints)]
+    edges = np.sort(np.minimum(np.stack(cuts, axis=-1), top[..., None]), axis=-1)
+    lo, hi = edges[..., :-1, None], edges[..., 1:, None]
+    rr = r[..., None, None]
+    radii = np.stack((a, b))[..., None, None]
+
+    def density(s):
+        # c_a and c_b at once; at r = 0, c = +1 inside the radius and -1 outside
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cos = np.clip(((radii - rr) * (radii + rr) - s * s) / (2.0 * rr * s), -1.0, 1.0)
+        ca, cb = np.where(rr > 0.0, cos, np.where(s < radii, 1.0, -1.0))
+        if n == 2:
+            omega = 2.0 * (np.arccos(ca) - np.arccos(cb))
+        elif n == 3:
+            omega = 2.0 * math.pi * (cb - ca)
+        else:
+            m = 0.5 * (n - 1)
+            omega = unit_sphere_area(n) * (betainc(m, m, 0.5 * (1.0 - ca))
+                                           - betainc(m, m, 0.5 * (1.0 - cb)))
+        return kernel(s) * s ** (n - 1) * omega
+
+    def halves(u):
+        # both halves of every piece in one call; u = 0 only on the empty
+        # pieces of repeated cuts, where 0/0 can give nan
+        u2 = u * u
+        both = density(np.concatenate((lo + u2, hi - u2), axis=-1))
+        k = u.shape[-1]
+        return np.where(u > 0.0, 2.0 * u * (both[..., :k] + both[..., k:]), 0.0)
+
+    umax = np.sqrt(0.5 * (hi - lo))
+    spans = np.concatenate((np.zeros_like(umax), umax), axis=-1)
+    return gl_panels(halves, spans, SHELL_ORDER).sum(axis=-1)
+
+
 def interior_rho_integral(kernel: RadialKernel, r: float, h: float,
                           order: int = 32) -> float:
-    """int_0^h Jtilde(r, rho) d rho by graded panel quadrature."""
+    """int_0^h Jtilde(r, rho) d rho.
+
+    Compact kernels take graded panels over their band (order nodes
+    each); other kernels take shell_mass(kernel, r, 0, h).
+    """
     if h <= 0.0:
         return 0.0
-    if kernel.kind == COMPACT:
-        K = kernel.support_radius
-        lo = max(0.0, r - K)
-        hi = min(h, r + K)
-        if hi <= lo:
-            return 0.0
-        edges = _graded_union(lo, hi, _rho_kinks(kernel, r))
-    else:
-        edges = graded_edges_around(r, 0.0, h, first=0.5)
+    if kernel.kind != COMPACT:
+        return float(shell_mass(kernel, r, 0.0, h))
+    K = kernel.support_radius
+    lo = max(0.0, r - K)
+    hi = min(h, r + K)
+    if hi <= lo:
+        return 0.0
+    edges = _graded_union(lo, hi, _rho_kinks(kernel, r))
     return gl_panels(lambda rho: j_tilde_row(kernel, r, rho), edges, order)
 
 

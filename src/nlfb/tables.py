@@ -15,13 +15,15 @@ through the symmetry identity
 so growing the table copies the filled block and never evaluates old
 rows again.
 
-A table can be persisted to a small binary cache file (format v3): a
+A table can be persisted to a small binary cache file (format v4): a
 header naming the kernel, grid and block shape, the stored block row
 by row (band rows of width 2*bw + 1, or dense rows over the columns
 below rows_filled), then the dense kink corrections.  save() writes a
 temporary file and renames it into place; load() validates the whole
-file before adopting anything.  v3 keeps the v2 layout under a new tag,
-so N = 3 rows from angular quadrature (~1e-13 off exact) are not reused.
+file before adopting anything.  v3 and v4 keep the v2 layout under new
+tags, so stale numbers are not reused: v2 N = 3 rows came from angular
+quadrature (~1e-13 off exact), and v3 kink corrections from a graded
+angular rule (up to ~4e-10 off).
 """
 
 from __future__ import annotations
@@ -35,12 +37,17 @@ import numpy as np
 from . import kernels as kmod
 from .kernels import RadialKernel
 
-MAGIC = b"NLFBKT3\x00"
+MAGIC = b"NLFBKT4\x00"
 #: dim, dr, kernel hash, rows, banded flag, stored row width, kink corrections
 _HEADER = struct.Struct("<id16siiii")
 #: Gauss-Legendre order per angular panel when sampling table entries by
 #: the angular rule (N = 2 and custom N = 3 kernels; exact entries ignore it)
 FILL_ORDER = 48
+#: dense rows per shell_mass call for the kink-correction window masses.  One
+#: call per new row costs ~0.2 ms of fixed overhead; larger blocks add their
+#: scratch arrays to the peak memory (fat_tail_front fronts: +0.1 MB at 32
+#: rows, +0.6 MB at 64, +3.5 MB for blocks growing by 1.5x)
+WINDOW_BLOCK = 32
 
 
 def cache_dir() -> str:
@@ -73,6 +80,7 @@ class KernelTables:
         self._jstar_cache = np.zeros(0)
         self._row_mass = np.zeros(0)
         self._kink_corr = np.zeros(0)
+        self._window_mass = np.zeros(0)
 
     # -- storage ------------------------------------------------------------
 
@@ -164,36 +172,52 @@ class KernelTables:
             self._row_mass = self._data[:self._rows_filled].sum(axis=1) * self.dr
         return self._row_mass[:n]
 
+    def _kink_reach(self) -> int:
+        """Half-width, in grid steps, of the kink-correction window and its ramp."""
+        return int(round(max(2.0, 4.0 * self.dr) / self.dr))
+
     def _kink_corrections(self, n: int) -> np.ndarray:
         """Trapezoid defect of dense rows at the diagonal peak of Jtilde.
 
         rho -> Jtilde(r, rho) loses smoothness at rho = r, so the grid
         trapezoid underresolves the peak by an O(dr^2 log dr) amount
         that does not shrink with the boundary radius.  kink_corr[i] is
-        the accurate integral minus the trapezoid over a fixed window
-        around the peak; tail masses subtract it so their error decays
-        with the true tail instead of stalling at the quadrature bias.
-        """
-        from .quadrature import gl_panels, graded_edges_around
+        the accurate integral minus the trapezoid over the window
+        [a, b] = [max(0, r - w), r + w], w = _kink_reach() steps, around
+        the peak; tail masses subtract it so their error decays with the
+        true tail instead of stalling at the quadrature bias.
 
+        The accurate integral is the mass of J(|x - y|), |x| = r, over
+        the shell a < |y| < b, taken as one integral over s = |y - x|
+        (kernels.shell_mass):
+
+            int_a^b Jtilde(r, rho) d rho = int_0^{r+b} J(s) s^{N-1} Omega(s) ds,
+
+        split at the corners of Omega, s in {|r - a|, r + a, |b - r|,
+        r + b}, with s = end +- u^2 on each half piece.  These masses
+        need no table and come WINDOW_BLOCK rows per call.  The
+        trapezoid reads the stored row; only window columns at or
+        beyond rows_filled are evaluated.
+        """
         if self._kink_corr.size >= n:
             return self._kink_corr[:n]
-        old = self._kink_corr
-        corr = np.empty(n)
-        corr[:old.size] = old
-        reach = int(round(max(2.0, 4.0 * self.dr) / self.dr))
-        for i in range(old.size, n):
-            r = i * self.dr
-            a_idx, b_idx = max(0, i - reach), i + reach
-            grid = kmod.j_tilde_row(
-                self.kernel, r, np.arange(a_idx, b_idx + 1) * self.dr,
-                FILL_ORDER)
-            trap = float(np.trapezoid(grid, dx=self.dr))
-            edges = graded_edges_around(r, a_idx * self.dr, b_idx * self.dr,
-                                        first=self.dr / 4.0)
-            corr[i] = gl_panels(lambda rho: kmod.j_tilde_row(self.kernel, r, rho, 32),
-                                edges, 32) - trap
-        self._kink_corr = corr
+        self.ensure(n)
+        reach, dr, filled = self._kink_reach(), self.dr, self._rows_filled
+        while self._window_mass.size < n:
+            ahead = self._window_mass.size + np.arange(WINDOW_BLOCK)
+            mass = kmod.shell_mass(self.kernel, ahead * dr, np.maximum(ahead - reach, 0) * dr,
+                                   (ahead + reach) * dr)
+            self._window_mass = np.concatenate((self._window_mass, mass))
+        done = self._kink_corr.size
+        trap = np.empty(n - done)
+        for i in range(done, n):
+            grid = self._data[i, max(0, i - reach):min(i + reach + 1, filled)]
+            if i + reach >= filled:
+                beyond = np.arange(filled, i + reach + 1) * dr
+                grid = np.concatenate(
+                    (grid, kmod.j_tilde_row(self.kernel, i * dr, beyond, FILL_ORDER)))
+            trap[i - done] = np.trapezoid(grid, dx=dr)
+        self._kink_corr = np.concatenate((self._kink_corr, self._window_mass[done:n] - trap))
         return self._kink_corr[:n]
 
     def conv(self, weighted_u: np.ndarray) -> np.ndarray:
@@ -240,8 +264,7 @@ class KernelTables:
 
     def _corr_ramp(self, i, j):
         """Fraction of the peak-window defect lying inside [0, j*dr]."""
-        half = max(2.0, 4.0 * self.dr) / self.dr
-        return np.clip((np.asarray(j, dtype=float) - np.asarray(i)) / half,
+        return np.clip((np.asarray(j, dtype=float) - np.asarray(i)) / self._kink_reach(),
                        0.0, 1.0)
 
     def tail_mass_vector(self, n: int, j: int) -> np.ndarray:

@@ -12,9 +12,10 @@ from nlfb import (KernelValidationError, SolvabilityError, cosine_bump_kernel,
                   custom_kernel, j_star, j_tilde, j_tilde_row, j_tilde_split,
                   moment_identity_check, moment_n, power_tail_kernel,
                   uniform_kernel, unit_sphere_area, validate_kernel)
+from nlfb import kernels
 from nlfb.kernels import (boundary_flux, interior_rho_integral,
                           j_star_first_moment, normalization,
-                          outward_rho_integral, require_valid)
+                          outward_rho_integral, require_valid, shell_mass)
 
 
 def test_unit_sphere_areas():
@@ -167,30 +168,58 @@ def test_interior_plus_outward_is_one(disc2):
         assert abs(s - 1.0) < 1e-6
 
 
-def _interior_quad(k, r, h):
-    """int_0^h w_{N-1} rho^{N-1} int_0^pi sin^{N-2} t J(chord) dt d rho by scipy quad."""
-    n = k.dim
-    w = 2.0 if n == 2 else 2.0 * math.pi
-
-    def shell(rho):
-        def g(t):
-            return math.sin(t) ** (n - 2) * float(
-                k(math.sqrt(r * r + rho * rho - 2.0 * r * rho * math.cos(t))))
-        return w * rho ** (n - 1) * quad(g, 0.0, math.pi, epsabs=0.0,
-                                         epsrel=1e-13, limit=200)[0]
-
-    return quad(shell, 0.0, h, epsabs=0.0, epsrel=1e-12, limit=200)[0]
-
-
 @pytest.mark.parametrize("k", [power_tail_kernel(2, 2.8), power_tail_kernel(3, 3.8)],
                          ids=lambda k: f"{k.label}{k.params}")
-def test_fat_tail_rho_integrals_outside_the_ball_match_quad(k):
-    # r > h + 0.5: the graded panels must stop at rho = h, not run on toward r
+def test_fat_tail_rho_integrals_outside_the_ball_match_quad(k, shell_quad):
+    # r > h + 0.5: the shell ends at |y| = h, well short of the point x
     for r, h in ((4.0, 3.0), (8.0, 6.0), (20.0, 3.0)):
-        exact = _interior_quad(k, r, h)
+        exact = shell_quad(k, r, 0.0, h)
         inner = interior_rho_integral(k, r, h)
         assert abs(inner - exact) <= 1e-12 * exact, (r, h, inner, exact)
         assert abs(outward_rho_integral(k, r, h) - (1.0 - exact)) <= 1e-12, (r, h)
+
+
+#: a custom N = 3 fat tail A min(1, r^-4): a profile breakpoint, no tail_antiderivative
+MIN_R4 = custom_kernel(lambda r: 3.0 / (16.0 * math.pi) * np.maximum(r, 1.0) ** -4.0,
+                       3, breakpoints=(1.0,), label="min1r4")
+
+
+@pytest.mark.parametrize("k", [power_tail_kernel(2, 2.8), power_tail_kernel(3, 3.8), MIN_R4],
+                         ids=lambda k: f"{k.label}{k.params}")
+@pytest.mark.parametrize("r", [0.0, 0.25, 1.5, 12.5, 75.0])
+def test_shell_mass_matches_nested_quad(k, r, shell_quad):
+    # the kink-correction window of a dense row at radius r
+    a, b = max(0.0, r - 2.0), r + 2.0
+    exact = shell_quad(k, r, a, b)
+    assert abs(float(shell_mass(k, r, a, b)) - exact) <= 1e-13 * exact, (r, exact)
+
+
+def test_shell_mass_rows_at_once_and_general_dimension(shell_quad):
+    # N = 4 takes the incomplete-beta measure of directions
+    k = custom_kernel(power_tail_kernel(4, 4.8).profile, 4)
+    r = np.array([0.0, 1.5, 12.5])
+    a, b = np.maximum(r - 2.0, 0.0), r + 2.0
+    rows = shell_mass(k, r, a, b)
+    for i in range(r.size):
+        one = float(shell_mass(k, r[i], a[i], b[i]))
+        assert abs(rows[i] - one) <= 1e-15 * one
+        exact = shell_quad(k, float(r[i]), float(a[i]), float(b[i]))
+        assert abs(rows[i] - exact) <= 1e-13 * exact, (r[i], exact)
+
+
+@pytest.mark.parametrize("k, calls", [(power_tail_kernel(3, 3.8), 1),
+                                      (power_tail_kernel(2, 2.8), 2)])
+def test_jtilde_order_doubling_only_where_order_matters(k, calls, monkeypatch):
+    seen = []
+    inner = kernels.j_tilde_row
+
+    def counting(*args, **kw):
+        seen.append(1)
+        return inner(*args, **kw)
+
+    monkeypatch.setattr(kernels, "j_tilde_row", counting)
+    j_tilde(k, 1.5, 2.0)
+    assert len(seen) == calls
 
 
 def test_jtilde_split_partition(ball3):

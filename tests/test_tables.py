@@ -197,7 +197,7 @@ def test_cache_rejects_v1_file(tmp_path, disc2):
 
 
 def test_cache_rejects_v2_file(tmp_path):
-    # v2 shares the v3 layout, but its N = 3 rows hold angular-quadrature values
+    # v2 shares the v4 layout, but its N = 3 rows hold angular-quadrature values
     tab = KernelTables(power_tail_kernel(3, 3.8), 0.25)
     tab.tail_mass_vector(10, 9)
     path = str(tmp_path / "v2.nlfbkt")
@@ -207,6 +207,20 @@ def test_cache_rejects_v2_file(tmp_path):
     fresh = KernelTables(power_tail_kernel(3, 3.8), 0.25)
     assert not fresh.load(path)
     assert fresh.rows_filled == 0
+
+
+def test_cache_rejects_v3_file(tmp_path):
+    # v3 shares the v4 layout, but its kink corrections came from the graded angular rule
+    tab = KernelTables(power_tail_kernel(2, 2.8), 0.25)
+    tab.tail_mass_vector(10, 9)
+    path = str(tmp_path / "v3.nlfbkt")
+    tab.save(path)
+    with open(path, "r+b") as fh:
+        fh.write(b"NLFBKT3\x00")
+    fresh = KernelTables(power_tail_kernel(2, 2.8), 0.25)
+    assert not fresh.load(path)
+    assert fresh.rows_filled == 0
+    assert fresh._kink_corr.size == 0
 
 
 @pytest.mark.parametrize("dim, beta, exact", [(3, 3.8, True), (2, 2.8, False)])
@@ -223,6 +237,48 @@ def test_exact_n3_tables_do_no_angular_quadrature(dim, beta, exact, monkeypatch)
     tab.ensure(90, 90)
     tab.tail_mass_vector(90, 89)
     assert (len(calls) == 0) == exact
+
+
+def test_kink_corrections_match_nested_quad(shell_quad):
+    # accurate window integral minus the trapezoid of the stored row
+    k = power_tail_kernel(2, 2.8)
+    tab = KernelTables(k, 0.25)
+    reach = tab._kink_reach()
+    tab.ensure(300 + reach + 1)
+    corr = tab._kink_corrections(301)
+    for i in (1, 5, 50, 300):
+        lo, hi = max(0, i - reach), i + reach
+        exact = shell_quad(k, i * tab.dr, lo * tab.dr, hi * tab.dr)
+        trap = np.trapezoid(tab.row_values(i, hi + 1)[lo:], dx=tab.dr)
+        assert abs(corr[i] - (exact - trap)) <= 1e-12, (i, corr[i], exact - trap)
+
+
+def test_kink_corrections_read_filled_rows(monkeypatch):
+    calls = []
+    inner = kernels._j_tilde_panels
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return inner(*args, **kw)
+
+    monkeypatch.setattr(kernels, "_j_tilde_panels", counting)
+    tab = KernelTables(power_tail_kernel(2, 2.8), 0.25)
+    tab.ensure(60, 60)
+    filled = len(calls)
+    tab._kink_corrections(60 - tab._kink_reach())  # every window ends below column 60
+    assert len(calls) == filled
+    tab._kink_corrections(60)  # the last windows reach past the filled columns
+    assert len(calls) > filled
+
+
+def test_kink_corrections_grow_row_by_row():
+    # window masses come in blocks; trapezoids read whatever columns are filled
+    k = power_tail_kernel(3, 3.8)
+    step, once = KernelTables(k, 0.25), KernelTables(k, 0.25)
+    for n in range(1, 71):
+        step.tail_mass_vector(n, n - 1)
+    once.ensure(70)
+    assert np.abs(step._kink_corrections(70) - once._kink_corrections(70)).max() <= 1e-15
 
 
 def test_dense_cache_restores_kink_corrections(tmp_path, count_rows):
