@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 from .errors import (KernelValidationError, NlfbError, NumericalError,
                      SolvabilityError)
 from .kernels import (RadialKernel, cosine_bump_kernel, custom_kernel,
-                      j_star, j_tilde, j_tilde_row, j_tilde_split,
+                      j_star, j_tilde, j_tilde_row,
                       moment_identity_check, moment_n, power_tail_kernel,
                       uniform_kernel, unit_sphere_area, validate_kernel)
 from .tables import KernelTables

@@ -487,29 +487,6 @@ def j_tilde(kernel: RadialKernel, r: float, rho: float,
     return prev
 
 
-def j_tilde_split(kernel: RadialKernel, r: float, rho: float,
-                  order: int = DEFAULT_ORDER) -> tuple[float, float]:
-    """(Jtilde_plus, Jtilde_minus): the hemisphere split at polar angle pi/2."""
-    if r <= 0.0:
-        raise ValueError("the hemisphere split is undefined at the center r = 0")
-    if rho <= 0.0:
-        return 0.0, 0.0
-    if _exact_n3(kernel):
-        # the polar angle pi/2 lies at chord length sqrt(r^2 + rho^2)
-        h = kernel.tail_antiderivative(np.array([abs(r - rho), math.hypot(r, rho), r + rho]))
-        return tuple(float(2.0 * math.pi * rho / r * d) for d in h[:-1] - h[1:])
-    rho_arr = np.array([rho])
-    all_edges = _theta_breaks(kernel, r, rho_arr)
-    if kernel.kind != COMPACT:
-        all_edges = np.sort(np.concatenate(
-            (all_edges, _fat_theta_edges(r, rho_arr)), axis=1), axis=1)
-    halves = []
-    for lo, hi in ((0.0, math.pi / 2.0), (math.pi / 2.0, math.pi)):
-        edges = np.sort(np.clip(all_edges, lo, hi), axis=1)
-        halves.append(float(_j_tilde_panels(kernel, r, rho_arr, edges, order)[0]))
-    return halves[0], halves[1]
-
-
 # ---------------------------------------------------------------------------
 # rho-integrals of Jtilde and the boundary flux
 # ---------------------------------------------------------------------------
@@ -517,7 +494,10 @@ def j_tilde_split(kernel: RadialKernel, r: float, rho: float,
 def shell_mass(kernel: RadialKernel, r, a, b):
     """int_a^b Jtilde(r, rho) d rho: the mass of J(|x - y|) over a < |y| < b, |x| = r.
 
-    Polar coordinates around x make it one integral over s = |y - x|,
+    Every rho-integral of Jtilde is such a shell mass, for every kernel:
+    interior_rho_integral, outward_rho_integral, boundary_flux and the
+    kink corrections of the kernel tables.  Polar coordinates around x
+    make it one integral over s = |y - x|,
 
         int_a^b Jtilde(r, rho) d rho = int_0^{r+b} J(s) s^{N-1} Omega(s) ds,
 
@@ -574,81 +554,39 @@ def shell_mass(kernel: RadialKernel, r, a, b):
     return gl_panels(halves, spans, SHELL_ORDER).sum(axis=-1)
 
 
-def interior_rho_integral(kernel: RadialKernel, r: float, h: float,
-                          order: int = 32) -> float:
-    """int_0^h Jtilde(r, rho) d rho.
+def interior_rho_integral(kernel: RadialKernel, r, h: float):
+    """int_0^h Jtilde(r, rho) d rho = shell_mass(kernel, r, 0, h).
 
-    Compact kernels take graded panels over their band (order nodes
-    each); other kernels take shell_mass(kernel, r, 0, h).
+    Every rho-integral of Jtilde is a shell mass.  Broadcasts over r: a
+    scalar r gives a float.
     """
-    if h <= 0.0:
-        return 0.0
-    if kernel.kind != COMPACT:
-        return float(shell_mass(kernel, r, 0.0, h))
-    K = kernel.support_radius
-    lo = max(0.0, r - K)
-    hi = min(h, r + K)
-    if hi <= lo:
-        return 0.0
-    edges = _graded_union(lo, hi, _rho_kinks(kernel, r))
-    return gl_panels(lambda rho: j_tilde_row(kernel, r, rho), edges, order)
+    return shell_mass(kernel, r, 0.0, max(h, 0.0))
 
 
-def outward_rho_integral(kernel: RadialKernel, r: float, h: float,
-                         order: int = 32) -> float:
-    """int_h^inf Jtilde(r, rho) d rho.
+def outward_rho_integral(kernel: RadialKernel, r, h: float):
+    """int_h^inf Jtilde(r, rho) d rho, as a shell mass; broadcasts over r.
 
-    Compact kernels integrate the outward band directly; fat tails use
+    Compact kernels take shell_mass(kernel, r, h, max(h, r + K)), exactly
+    0.0 once h >= r + K (the shell is empty); fat tails take
     1 - interior, which follows from the unit normalization of J.
     """
     if kernel.kind == COMPACT:
-        K = kernel.support_radius
-        hi = r + K
-        if h >= hi:
-            return 0.0
-        lo = max(h, max(0.0, r - K))
-        edges = _graded_union(lo, hi, _rho_kinks(kernel, r))
-        return gl_panels(lambda rho: j_tilde_row(kernel, r, rho), edges, order)
-    return min(max(1.0 - interior_rho_integral(kernel, r, h, order), 0.0), 1.0)
+        return shell_mass(kernel, r, h, np.maximum(h, r + kernel.support_radius))
+    return np.clip(1.0 - interior_rho_integral(kernel, r, h), 0.0, 1.0)
 
 
-def _graded_union(lo: float, hi: float, kinks) -> np.ndarray:
-    """Panel edges on [lo, hi], geometrically refined toward every kink.
-
-    Tangency points carry square-root behavior (N = 2), which plain
-    panel splitting resolves only to a few digits; grading restores
-    fast convergence.
-    """
-    first = (hi - lo) / 2.0 ** 13
-    return np.unique(np.concatenate(
-        [graded_edges_around(k, lo, hi, first) for k in kinks]))
-
-
-def _rho_kinks(kernel: RadialKernel, r: float) -> list[float]:
-    """rho values where rho -> Jtilde(r, rho) loses smoothness.
-
-    A profile breakpoint at radius b touches the sphere of radius rho
-    tangentially when rho = |b - r| or rho = b + r; the peak at rho = r
-    is included as well.
-    """
-    pts = [r]
-    for b in kernel.breakpoints:
-        pts.extend((abs(b - r), b + r))
-    return pts
-
-
-def boundary_flux(kernel: RadialKernel, h: float, order: int = 24) -> float:
+def boundary_flux(kernel: RadialKernel, h: float) -> float:
     """F(h) = int_0^h int_h^inf Jtilde(r, rho) d rho d r.
 
-    When (J1) holds, F(h) converges to int_0^inf l Jstar(l) dl as h grows;
-    for fat tails with beta in (N, N+1] it grows like h^(N+1-beta), or
-    ln h at the endpoint beta = N+1.
+    The inner integral is outward_rho_integral, a shell mass, on all
+    outer nodes at once.  When (J1) holds, F(h) converges to
+    int_0^inf l Jstar(l) dl as h grows; for fat tails with beta in
+    (N, N+1] it grows like h^(N+1-beta), or ln h at the endpoint
+    beta = N+1.
     """
     if kernel.kind == COMPACT:
         lo = max(0.0, h - kernel.support_radius)
         outer_edges = np.linspace(lo, h, 7)
     else:
         outer_edges = graded_edges_around(h, 0.0, h, first=1.0)
-    return gl_panels(lambda rs: np.array([outward_rho_integral(kernel, r, h) for r in rs]),
-                     outer_edges, order)
-
+    return gl_panels(lambda rs: outward_rho_integral(kernel, rs, h), outer_edges, 24)

@@ -39,6 +39,9 @@ from .kernels import RadialKernel
 from .quadrature import gl_panels, octave_integral
 from .reactions import Reaction
 
+#: Picard sweeps of a profile stop once no value moves more than this times max(u*, 1)
+TOL_PICARD = 1e-9
+
 
 def _integral_beyond(f, y: float, support: float, panels: int):
     """int_y^inf f(x) dx, y >= 0, for f vanishing beyond support; math.inf when divergent."""
@@ -98,7 +101,6 @@ class SemiWaveProblem:
     M: float = 20.0
     M_cap: float = 400.0
     tol_tail: float = None  # type: ignore[assignment]
-    tol_picard: float = 1e-9
     tol_speed: float = 1e-8
 
     def __post_init__(self):
@@ -207,7 +209,7 @@ class _Discretization:
 
     def solve_profile(self, c: float, f, phi0: np.ndarray,
                       max_iter: int = 1000) -> np.ndarray:
-        tol = self.prob.tol_picard * max(self.ustar, 1.0)
+        tol = TOL_PICARD * max(self.ustar, 1.0)
         fs = _scalar_reaction(f)
         phi = phi0
         damp = 0.5

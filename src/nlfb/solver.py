@@ -19,6 +19,7 @@ discrete level.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -35,6 +36,11 @@ SPREADING = "Spreading"
 VANISHING = "Vanishing"
 UNDECIDED = "Undecided"
 
+#: the vanishing window needs h to grow slower than this times h0 per unit time
+EPS_H_FACTOR = 1e-5
+#: ... and max u to have fallen below this times u_star
+EPS_U_FACTOR = 1e-3
+
 
 @dataclass
 class RunConfig:
@@ -49,8 +55,6 @@ class RunConfig:
     dt: float | None = None
     t_end: float = 100.0
     snapshot_stride: float = 0.0  # time between full profile snapshots; 0 = none
-    eps_h_factor: float = 1e-5
-    eps_u_factor: float = 1e-3
 
     def initial_profile(self, r: np.ndarray) -> np.ndarray:
         if self.u0 is not None:
@@ -166,10 +170,7 @@ def run(cfg: RunConfig, tables: KernelTables | None = None,
         raise NumericalError(
             "explicit stability violated: dt * (d + Lip f) must stay below 0.9")
     if early_stop and L_star is None and cfg.reaction.fprime0 < cfg.d:
-        try:
-            L_star = emod.find_L_star(cfg.d, cfg.reaction.fprime0, tables)[0]
-        except SolvabilityError:
-            L_star = None
+        L_star = _L_star_or_inf(cfg, tables)
 
     state = initial_state(cfg)
     rec_t, rec_h, rec_hdot, rec_u0, rec_umax, rec_mass = [], [], [], [], [], []
@@ -199,15 +200,10 @@ def run(cfg: RunConfig, tables: KernelTables | None = None,
                               state.u.copy()))
             next_snap += cfg.snapshot_stride
         if early_stop and (k + 1) % 50 == 0:
-            if cfg.reaction.fprime0 >= cfg.d:
-                stopped = SPREADING
-                break
-            if L_star is not None and state.h >= L_star:
-                stopped = SPREADING
-                break
-            if _vanishing_window(np.asarray(rec_t), np.asarray(rec_h),
-                                 np.asarray(rec_umax), cfg):
-                stopped = VANISHING
+            verdict = _verdict(np.asarray(rec_t), np.asarray(rec_h),
+                               np.asarray(rec_umax), cfg, L_star)
+            if verdict != UNDECIDED:
+                stopped = verdict
                 break
     traj = Trajectory(
         t=np.asarray(rec_t), h=np.asarray(rec_h), hdot=np.asarray(rec_hdot),
@@ -232,8 +228,8 @@ def _vanishing_window(t: np.ndarray, h: np.ndarray, u_max: np.ndarray,
     if span <= 0.0:
         return False
     growth_rate = (hw[-1] - hw[0]) / span
-    eps_h = cfg.eps_h_factor * cfg.h0
-    eps_u = cfg.eps_u_factor * cfg.reaction.u_star
+    eps_h = EPS_H_FACTOR * cfg.h0
+    eps_u = EPS_U_FACTOR * cfg.reaction.u_star
     return (growth_rate < eps_h and uw[-1] < eps_u
             and uw[-1] <= uw[0] * (1.0 + 1e-12))
 
@@ -253,20 +249,28 @@ def classify(traj: Trajectory, cfg: RunConfig,
         raise ValueError("trajectory too short to classify (need 20 records)")
     if traj.meta.get("early_verdict"):
         return traj.meta["early_verdict"]
-    if cfg.reaction.fprime0 >= cfg.d:
-        return SPREADING
     if L_star is None:
         L_star = traj.meta.get("L_star")
-    if L_star is None:
-        if tables is None:
-            tables = KernelTables(cfg.kernel, cfg.dr)
-        try:
-            L_star = emod.find_L_star(cfg.d, cfg.reaction.fprime0, tables)[0]
-        except SolvabilityError:
-            L_star = math.inf
-    if traj.h.max() >= L_star:
+    if L_star is None and cfg.reaction.fprime0 < cfg.d:
+        L_star = _L_star_or_inf(cfg, tables or KernelTables(cfg.kernel, cfg.dr))
+    return _verdict(traj.t, traj.h, traj.u_max, cfg, L_star)
+
+
+def _L_star_or_inf(cfg: RunConfig, tables: KernelTables) -> float:
+    """The threshold radius L_star, or inf where the eigenproblem has none."""
+    try:
+        return emod.find_L_star(cfg.d, cfg.reaction.fprime0, tables)[0]
+    except SolvabilityError:
+        return math.inf
+
+
+def _verdict(t: np.ndarray, h: np.ndarray, u_max: np.ndarray, cfg: RunConfig,
+             L_star: float | None) -> str:
+    """The rule of run(early_stop=True) and classify: f'(0) >= d or h >= L_star
+    spreads (L_star is unused when f'(0) >= d), then the vanishing window."""
+    if cfg.reaction.fprime0 >= cfg.d or h.max() >= L_star:
         return SPREADING
-    if _vanishing_window(traj.t, traj.h, traj.u_max, cfg):
+    if _vanishing_window(t, h, u_max, cfg):
         return VANISHING
     return UNDECIDED
 
@@ -301,7 +305,6 @@ def find_mu_star(cfg_template: RunConfig, mu_bracket: tuple[float, float],
     history: list = []
 
     def verdict_for(mu: float) -> str:
-        import dataclasses
         t_end = cfg.t_end
         while True:
             c = dataclasses.replace(cfg, mu=mu, t_end=t_end)

@@ -168,7 +168,7 @@ def test_newton_profile_matches_picard(disc2, logistic_f, d, mu, c):
     guess = ustar * (1.0 - np.exp(disc.x))
     picard = disc.solve_profile(c, logistic_f, guess)
     newton = disc._newton_profile(c, _scalar_reaction(logistic_f), guess,
-                                  prob.tol_picard * max(ustar, 1.0))
+                                  semiwave.TOL_PICARD * max(ustar, 1.0))
     assert np.abs(newton - picard).max() <= 1e-8
 
 
