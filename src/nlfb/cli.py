@@ -76,9 +76,7 @@ class _Manifest:
 
 def _tables_with_cache(kernel, dr: float) -> KernelTables:
     tables = KernelTables(kernel, dr)
-    path = tables.cache_path()
-    if os.path.exists(path):
-        tables.load(path)
+    tables.load(tables.cache_path())  # a missing or unfit file leaves the table empty
     return tables
 
 
@@ -116,7 +114,7 @@ def cmd_kernel_table(args) -> int:
     tables = _tables_with_cache(kernel, dr)
     n = int(round(args.r_max / dr)) + 1
     tables.ensure(n, n)
-    jstar = tables.jstar_vals(2 * n)
+    jstar = kmod.j_star(kernel, np.arange(2 * n) * dr)
     out_dir = cfgmod.out_dir_from_config(cfg)
     manifest = _Manifest("kernel-table", cfg, kernel.hash())
     path = os.path.join(out_dir, "kernel_table.csv")
@@ -197,9 +195,7 @@ def _write_trajectory_csv(path: str, traj) -> None:
 def cmd_simulate(args) -> int:
     cfg = cfgmod.parse_config(args.config)
     run_cfg = cfgmod.runconfig_from_config(cfg)
-    report = kmod.validate_kernel(run_cfg.kernel)
-    if not report.accepted:
-        raise KernelValidationError("; ".join(report.failures))
+    kmod.require_valid(run_cfg.kernel)
     tables = _tables_with_cache(run_cfg.kernel, run_cfg.dr)
     traj = solvermod.run(run_cfg, tables=tables)
     try:

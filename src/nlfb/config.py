@@ -45,6 +45,7 @@ KNOWN_KEYS = {
 }
 
 _FLOAT_KEYS = KNOWN_KEYS - {"kernel.kind", "f.kind", "out_dir", "N"}
+DEFAULT_OUT_DIR = "nlfb_out"
 
 
 class ConfigError(ValueError):
@@ -120,7 +121,7 @@ def runconfig_from_config(cfg: dict) -> RunConfig:
     )
 
 
-def out_dir_from_config(cfg: dict, default: str = "nlfb_out") -> str:
-    path = cfg.get("out_dir", default)
+def out_dir_from_config(cfg: dict) -> str:
+    path = cfg.get("out_dir", DEFAULT_OUT_DIR)
     os.makedirs(path, exist_ok=True)
     return path

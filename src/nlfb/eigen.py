@@ -28,6 +28,14 @@ from .errors import NumericalError, SolvabilityError
 from .reactions import Reaction
 from .tables import KernelTables
 
+#: find_L_star's final bracket width, and the radius where its doubling search gives up
+TOL_L = 1e-4
+L_MAX = 200.0
+#: steady_state stops once no value moves more than TOL_SS * dt in a step, and
+#: fails after MAX_SS_STEPS steps
+TOL_SS = 1e-8
+MAX_SS_STEPS = 2_000_000
+
 
 @dataclass(frozen=True)
 class EigenProblem:
@@ -123,8 +131,7 @@ def lambda1_sweep(d: float, a: float, L_values, tables: KernelTables) -> list[Ei
     return [lambda1(EigenProblem(d=d, a=a, L=float(L), tables=tables)) for L in L_values]
 
 
-def find_L_star(d: float, a: float, tables: KernelTables,
-                tol_L: float = 1e-4, L_max: float = 200.0) -> tuple[float, tuple[float, float]]:
+def find_L_star(d: float, a: float, tables: KernelTables) -> tuple[float, tuple[float, float]]:
     """Radius where lambda1 crosses zero; requires 0 < a < d.
 
     Monotonicity of lambda1 in L makes the zero unique; plain bisection
@@ -143,11 +150,11 @@ def find_L_star(d: float, a: float, tables: KernelTables,
     while lam(hi) < 0.0:
         lo = hi
         hi *= 2.0
-        if hi > L_max:
+        if hi > L_MAX:
             raise SolvabilityError(
                 f"lambda1 still negative at L = {lo:g}; a may be too close to d "
-                f"for the search horizon {L_max:g}")
-    while hi - lo > tol_L:
+                f"for the search horizon {L_MAX:g}")
+    while hi - lo > TOL_L:
         mid = 0.5 * (lo + hi)
         if lam(mid) < 0.0:
             lo = mid
@@ -156,8 +163,8 @@ def find_L_star(d: float, a: float, tables: KernelTables,
     return 0.5 * (lo + hi), (lo, hi)
 
 
-def steady_state(L: float, d: float, reaction: Reaction, tables: KernelTables,
-                 tol_ss: float = 1e-8, max_steps: int = 2_000_000) -> tuple[np.ndarray, np.ndarray]:
+def steady_state(L: float, d: float, reaction: Reaction,
+                 tables: KernelTables) -> tuple[np.ndarray, np.ndarray]:
     """Positive steady state of the fixed-boundary problem on [0, L].
 
     Exists exactly when lambda1(L) > 0 with a = f'(0); reached by
@@ -177,11 +184,11 @@ def steady_state(L: float, d: float, reaction: Reaction, tables: KernelTables,
     G = G / mass[:, None]
     dt = 0.4 / (d + reaction.lipschitz(max(1.0, reaction.u_star)))
     wvec = np.full(nodes.size, 0.5 * reaction.u_star)
-    for _ in range(max_steps):
+    for _ in range(MAX_SS_STEPS):
         conv = G @ (w * wvec)
         new = wvec + dt * (d * (conv - wvec) + reaction(wvec))
         delta = np.abs(new - wvec).max()
         wvec = new
-        if delta < tol_ss * dt:
+        if delta < TOL_SS * dt:
             return nodes, wvec
     raise NumericalError("steady-state march did not converge")

@@ -1,8 +1,8 @@
 """Least-squares fits of the asymptotic spreading laws to trajectories.
 
 All fits operate on a tail window of the time series (late times are
-what the asymptotic statements describe): by default the first 20% of
-the span is always excluded and the fit uses the last half.
+what the asymptotic statements describe): the first EXCLUDE_INITIAL of
+the span is always excluded and, by default, the fit uses the last half.
 """
 
 from __future__ import annotations
@@ -10,6 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+#: fraction of the span at the start of a series that no fit window includes
+EXCLUDE_INITIAL = 0.2
 
 
 @dataclass(frozen=True)
@@ -21,11 +24,10 @@ class FitResult:
     flags: tuple[str, ...] = field(default=())
 
 
-def _window_mask(t: np.ndarray, window_fraction: float,
-                 exclude_initial: float = 0.2) -> np.ndarray:
+def _window_mask(t: np.ndarray, window_fraction: float) -> np.ndarray:
     t0, t1 = float(t[0]), float(t[-1])
     span = t1 - t0
-    start = max(t1 - window_fraction * span, t0 + exclude_initial * span)
+    start = max(t1 - window_fraction * span, t0 + EXCLUDE_INITIAL * span)
     return t >= start
 
 

@@ -50,6 +50,8 @@ DEFAULT_ORDER = 64
 ORDER_DOUBLING_TOL = 1e-9
 #: Gauss-Legendre order of each half panel of shell_mass
 SHELL_ORDER = 48
+#: largest deviation of the kernel's mass from 1 that validate_kernel accepts
+TOL_NORM = 1e-6
 
 
 def unit_sphere_area(k: int) -> float:
@@ -254,7 +256,7 @@ class ValidationReport:
     failures: tuple[str, ...]
 
 
-def validate_kernel(kernel: RadialKernel, tol_norm: float = 1e-6) -> ValidationReport:
+def validate_kernel(kernel: RadialKernel) -> ValidationReport:
     """Check the admissibility conditions: sign, J(0) > 0, unit mass.
 
     The finite-N-th-moment verdict is reported but is not an
@@ -272,8 +274,8 @@ def validate_kernel(kernel: RadialKernel, tol_norm: float = 1e-6) -> ValidationR
     if j0 <= 0.0:
         failures.append("J(0) must be positive")
     norm = normalization(kernel)
-    if abs(norm - 1.0) > tol_norm:
-        failures.append(f"normalization {norm!r} deviates from 1 by more than {tol_norm}")
+    if abs(norm - 1.0) > TOL_NORM:
+        failures.append(f"normalization {norm!r} deviates from 1 by more than {TOL_NORM}")
     mn = moment_n(kernel)
     return ValidationReport(
         normalization=norm,
@@ -286,8 +288,8 @@ def validate_kernel(kernel: RadialKernel, tol_norm: float = 1e-6) -> ValidationR
     )
 
 
-def require_valid(kernel: RadialKernel, tol_norm: float = 1e-6) -> ValidationReport:
-    report = validate_kernel(kernel, tol_norm)
+def require_valid(kernel: RadialKernel) -> ValidationReport:
+    report = validate_kernel(kernel)
     if not report.accepted:
         raise KernelValidationError("; ".join(report.failures))
     return report

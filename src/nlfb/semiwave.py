@@ -41,6 +41,10 @@ from .reactions import Reaction
 
 #: Picard sweeps of a profile stop once no value moves more than this times max(u*, 1)
 TOL_PICARD = 1e-9
+#: Picard sweeps of a profile before the Newton fallback takes over
+MAX_PICARD = 1000
+#: brentq's absolute tolerance on c0, times max(1, c_lo)
+TOL_SPEED = 1e-8
 
 
 def _integral_beyond(f, y: float, support: float, panels: int):
@@ -101,7 +105,6 @@ class SemiWaveProblem:
     M: float = 20.0
     M_cap: float = 400.0
     tol_tail: float = None  # type: ignore[assignment]
-    tol_speed: float = 1e-8
 
     def __post_init__(self):
         if self.dx is None:
@@ -207,16 +210,15 @@ class _Discretization:
             phi[j - 1] = v
         return phi
 
-    def solve_profile(self, c: float, f, phi0: np.ndarray,
-                      max_iter: int = 1000) -> np.ndarray:
+    def solve_profile(self, c: float, f: Reaction, phi0: np.ndarray) -> np.ndarray:
         tol = TOL_PICARD * max(self.ustar, 1.0)
-        fs = _scalar_reaction(f)
         phi = phi0
         damp = 0.5
         prev_update = None
         prev_norm = 0.0
-        for _ in range(max_iter):
-            new = self.march(self.convolution(phi), c, fs)
+        for _ in range(MAX_PICARD):
+            # the march steps one Python float at a time: call the raw f
+            new = self.march(self.convolution(phi), c, f.f)
             update = new - phi
             delta = np.abs(update).max()
             if delta < tol:
@@ -240,9 +242,9 @@ class _Discretization:
         # creeping front: Picard contracts too slowly near the minimal wave
         # speed, so switch to Newton from a smooth initial guess
         return self._newton_profile(
-            c, fs, self.ustar * (1.0 - np.exp(self.x)), tol)
+            c, f, self.ustar * (1.0 - np.exp(self.x)), tol)
 
-    def _newton_profile(self, c: float, fs, phi0: np.ndarray,
+    def _newton_profile(self, c: float, f: Reaction, phi0: np.ndarray,
                         tol: float) -> np.ndarray:
         """Damped Newton on the discrete profile equations.
 
@@ -263,7 +265,6 @@ class _Discretization:
         K[:, 0] *= 0.5
         K *= self.dx
         eps = 1e-7 * max(self.ustar, 1.0)
-        fvec = np.vectorize(fs, otypes=[float])
         j = np.arange(1, n + 1)
         rows = np.arange(n)
 
@@ -271,7 +272,7 @@ class _Discretization:
             full = np.concatenate((u, [0.0]))
             conv = self.convolution(full)
             return u[j - 1] - full[j] + dx_c * (d * full[j] - d * conv[j]
-                                                - fvec(full[j]))
+                                                - f(full[j]))
 
         phi = phi0[:n].copy()
         res = residual(phi)
@@ -279,7 +280,7 @@ class _Discretization:
             nrm = np.abs(res).max()
             if nrm < tol:
                 return np.concatenate((phi, [0.0]))
-            fpj = (fvec(phi[j % n] + eps) - fvec(phi[j % n])) / eps
+            fpj = (f(phi[j % n] + eps) - f(phi[j % n])) / eps
             jac = -dx_c * d * K[j, :]
             jac[rows, j - 1] += 1.0
             on_diag = j <= n - 1
@@ -313,13 +314,6 @@ class _Discretization:
         dphi = (phi[1:] - phi[:-1]) / self.dx
         res = d * conv[1:] - d * phi[1:] + c * dphi + np.asarray(self.prob.f(phi[1:]))
         return float(np.abs(res).max())
-
-
-def _scalar_reaction(f: Reaction):
-    if f.label.startswith("logistic"):
-        scale = f.fprime0
-        return lambda u: scale * u * (1.0 - u)
-    return lambda u: float(f(u))
 
 
 def solve_semiwave(prob: SemiWaveProblem) -> SemiWaveSolution:
@@ -376,7 +370,7 @@ def _solve_at_truncation(prob: SemiWaveProblem, disc: _Discretization,
         c_hi *= 2.0
         if c_hi > 1e6:
             raise NumericalError("speed upper bound violated; check P and f")
-    c0 = brentq(g, c_lo, c_hi, xtol=prob.tol_speed * max(1.0, c_lo))
+    c0 = brentq(g, c_lo, c_hi, xtol=TOL_SPEED * max(1.0, c_lo))
     phi = disc.solve_profile(c0, prob.f, phi)
     return SemiWaveSolution(
         c0=float(c0),

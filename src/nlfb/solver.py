@@ -7,8 +7,9 @@ moving boundary radius h where u vanishes.  One step updates
     h   += dt * mu / h^{N-1} * int_0^h r^{N-1} u(r) T(r, h) dr
 
 with trapezoid quadrature including the partial cell [r_m, h] (the
-boundary value u(h) = 0 is exact), and T(r, h) the kernel mass leaking
-beyond the boundary.  The grid only grows: nodes crossed by h are
+boundary value u(h) = 0 is exact), and T(r, h) = int_h^inf Jtilde(r, rho) d rho
+the kernel mass leaking beyond the boundary, read from the table at the
+fractional column h / dr.  The grid only grows: nodes crossed by h are
 appended with value 0, the boundary value at crossing time.
 
 The explicit scheme is stable under dt * (d + Lip f) < 0.9 because the
@@ -40,6 +41,8 @@ UNDECIDED = "Undecided"
 EPS_H_FACTOR = 1e-5
 #: ... and max u to have fallen below this times u_star
 EPS_U_FACTOR = 1e-3
+#: find_mu_star doubles t_end of an Undecided run up to this times cfg.t_end
+T_END_FACTOR = 8.0
 
 
 @dataclass
@@ -84,10 +87,11 @@ class Trajectory:
 def initial_state(cfg: RunConfig) -> SimState:
     m = int(np.floor(cfg.h0 / cfg.dr + 1e-9))
     r = np.arange(m + 1) * cfg.dr
-    u = np.clip(cfg.initial_profile(r), 0.0, None)
-    if np.any(u < 0.0):
+    u = cfg.initial_profile(r)
+    # the last node may lie 1e-9 * dr beyond h0, where u0 dips by ~1e-10
+    if np.any(u < -1e-9 * max(1.0, float(np.abs(u).max()))):
         raise ValueError("initial profile must be nonnegative")
-    return SimState(t=0.0, h=float(cfg.h0), u=u)
+    return SimState(t=0.0, h=float(cfg.h0), u=np.clip(u, 0.0, None))
 
 
 def _quad_weights(m: int, dr: float, h: float) -> np.ndarray:
@@ -96,14 +100,6 @@ def _quad_weights(m: int, dr: float, h: float) -> np.ndarray:
     w[0] = 0.5 * dr
     w[m] = 0.5 * dr + 0.5 * (h - m * dr)
     return w
-
-
-def _tail_vector(tables: KernelTables, m: int, h: float) -> np.ndarray:
-    """T(r_i, h) for i <= m, interpolated between the bracketing columns."""
-    frac = (h - m * tables.dr) / tables.dr
-    t_lo = tables.tail_mass_vector(m + 1, m)
-    t_hi = tables.tail_mass_vector(m + 1, m + 1)
-    return t_lo + frac * (t_hi - t_lo)
 
 
 def _slopes(state_u: np.ndarray, h: float, cfg: RunConfig,
@@ -115,7 +111,7 @@ def _slopes(state_u: np.ndarray, h: float, cfg: RunConfig,
     conv = tables.conv(w * state_u)
     dudt = cfg.d * (conv - state_u) + np.asarray(cfg.reaction(state_u))
     r = np.arange(m + 1) * dr
-    tail = _tail_vector(tables, m, h)
+    tail = tables.tail_mass_vector(m + 1, h / dr)
     nm1 = cfg.kernel.dim - 1
     flux = float(np.dot(w, r ** nm1 * state_u * tail))
     hdot = cfg.mu / h ** nm1 * flux
@@ -284,8 +280,7 @@ class MuStarResult:
 
 
 def find_mu_star(cfg_template: RunConfig, mu_bracket: tuple[float, float],
-                 tol_mu: float = 0.05, t_end_factor: float = 8.0,
-                 tables: KernelTables | None = None) -> MuStarResult:
+                 tol_mu: float = 0.05, tables: KernelTables | None = None) -> MuStarResult:
     """Bisect the threshold mu_star between vanishing and spreading.
 
     Requires f'(0) < d and h0 < L_star (otherwise spreading happens for
@@ -310,7 +305,7 @@ def find_mu_star(cfg_template: RunConfig, mu_bracket: tuple[float, float],
             c = dataclasses.replace(cfg, mu=mu, t_end=t_end)
             traj = run(c, tables=tables, early_stop=True, L_star=L_star)
             v = classify(traj, c, tables=tables, L_star=L_star)
-            if v != UNDECIDED or t_end >= cfg.t_end * t_end_factor:
+            if v != UNDECIDED or t_end >= cfg.t_end * T_END_FACTOR:
                 history.append((mu, v))
                 return v
             t_end *= 2.0

@@ -15,6 +15,9 @@ through the symmetry identity
 so growing the table copies the filled block and never evaluates old
 rows again.
 
+The solver reads a table through conv (the quadrature of Jtilde * u)
+and tail_mass_vector (the tail masses beyond a boundary between columns).
+
 A table can be persisted to a small binary cache file (format v4): a
 header naming the kernel, grid and block shape, the stored block row
 by row (band rows of width 2*bw + 1, or dense rows over the columns
@@ -77,7 +80,6 @@ class KernelTables:
         self._rows_filled = 0
         self._cap = 0
         self._data = np.zeros((0, 0))
-        self._jstar_cache = np.zeros(0)
         self._row_mass = np.zeros(0)
         self._kink_corr = np.zeros(0)
         self._window_mass = np.zeros(0)
@@ -236,70 +238,49 @@ class KernelTables:
         windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * self.bw + 1)
         return np.einsum("ij,ij->i", self._data[:n], windows) / self.row_mass(n)
 
-    def interior_integral(self, i: int, j: int) -> float:
-        """Trapezoid int_0^{j*dr} Jtilde(r_i, rho) d rho over grid columns."""
-        row = self.row_values(i, j + 1)
-        return float(np.trapezoid(row, dx=self.dr))
+    def tail_mass(self, i: int, j: float) -> float:
+        """T(r_i, j*dr) of one row; see tail_mass_vector."""
+        return float(self.tail_mass_vector(i + 1, j)[i])
 
-    def tail_mass(self, i: int, j: int) -> float:
-        """T(r_i, h_j) = int_{h_j}^inf Jtilde(r_i, rho) d rho, h_j = j*dr.
+    def tail_mass_vector(self, n: int, j: float) -> np.ndarray:
+        """T(r_i, j*dr) = int_{j*dr}^inf Jtilde(r_i, rho) d rho for rows i < n.
 
-        Compact kernels integrate the stored band beyond column j, which
-        is free of cancellation; fat tails use 1 - interior (the row
-        integrates to 1 exactly), clamped to [0, 1].
+        j may be fractional: T is then linear between the bracketing
+        columns lo = floor(j + 1e-9), the solver's boundary node, and
+        lo + 1, both read in one pass; an integer j reads column j alone.
+        Compact kernels integrate the stored band beyond the column, which
+        is free of cancellation, and divide by the row mass; fat tails use
+        1 - interior - kink correction (the row integrates to 1 exactly).
+        Both are clamped to [0, 1].
         """
+        lo = int(np.floor(j + 1e-9))
+        frac = j - lo
+        cols = np.arange(lo, lo + 1 + (frac != 0))
+        rows = np.arange(n)[:, None]
         if self.banded:
-            lo, hi = self._row_cols(i)
-            if j >= hi:
-                return 0.0
-            self.ensure(i + 1)
-            off = i - self.bw
-            row = self._data[i]
-            start = max(j, lo)
-            tail = row[start - off:].sum() - 0.5 * row[start - off]
-            mass = float(self.row_mass(i + 1)[i])
-            return min(max(float(self.dr * tail) / mass, 0.0), 1.0)
-        corr = float(self._kink_corrections(i + 1)[i]) * self._corr_ramp(i, j)
-        return min(max(1.0 - self.interior_integral(i, j) - corr, 0.0), 1.0)
-
-    def _corr_ramp(self, i, j):
-        """Fraction of the peak-window defect lying inside [0, j*dr]."""
-        return np.clip((np.asarray(j, dtype=float) - np.asarray(i)) / self._kink_reach(),
-                       0.0, 1.0)
-
-    def tail_mass_vector(self, n: int, j: int) -> np.ndarray:
-        """tail_mass(i, j) for all rows i < n."""
-        if not self.banded:
-            self.ensure(n, j + 1)
-            w = np.full(j + 1, self.dr)
+            self.ensure(n)
+            # rows i <= lo - bw end at or before column lo and leak nothing
+            first = min(max(lo - self.bw + 1, 0), n)
+            band = self._data[first:n]
+            # band index of each column, or of the row's first column when
+            # the column lies left of it
+            k = np.maximum(cols - rows[first:] + self.bw, 0)
+            beyond = np.cumsum(band[:, ::-1], axis=1)[:, ::-1]  # beyond[:, k] = band[:, k:].sum()
+            tail = np.take_along_axis(beyond - 0.5 * band, k, axis=1)
+            tails = np.zeros((n, cols.size))
+            tails[first:] = np.clip(self.dr * tail / self.row_mass(n)[first:, None], 0.0, 1.0)
+        else:
+            width = cols[-1] + 1
+            self.ensure(n, width)
+            # trapezoid weights over [0, c*dr], one column per bracketing c
+            w = np.where(np.arange(width)[:, None] <= cols, self.dr, 0.0)
             w[0] = 0.5 * self.dr
-            w[-1] = 0.5 * self.dr
-            interior = self._data[:n, :j + 1] @ w
-            corr = self._kink_corrections(n) * self._corr_ramp(np.arange(n), j)
-            return np.clip(1.0 - interior - corr, 0.0, 1.0)
-        out = np.zeros(n)
-        # rows i <= j - bw end at or before column j and leak nothing
-        first = max(j - self.bw + 1, 0)
-        if first >= n:
-            return out
-        self.ensure(n)
-        band = self._data[first:n]
-        rows = np.arange(n - first)
-        # band index of column j, or of the row's first column when j lies left of it
-        k = np.maximum(j - first - rows + self.bw, 0)
-        beyond = np.cumsum(band[:, ::-1], axis=1)[:, ::-1]  # beyond[:, k] = band[:, k:].sum()
-        tail = beyond[rows, k] - 0.5 * band[rows, k]
-        out[first:] = np.clip(self.dr * tail / self.row_mass(n)[first:], 0.0, 1.0)
-        return out
-
-    # -- the 1-D marginal on the same grid ------------------------------------
-
-    def jstar_vals(self, n: int) -> np.ndarray:
-        """Jstar at l = k*dr for k < n (cached)."""
-        if self._jstar_cache.size < n:
-            self._jstar_cache = np.asarray(
-                kmod.j_star(self.kernel, np.arange(n) * self.dr))
-        return self._jstar_cache[:n]
+            w[cols, np.arange(cols.size)] = 0.5 * self.dr
+            interior = self._data[:n, :width] @ w
+            # the part of the peak-window defect that lies inside [0, c*dr]
+            ramp = np.clip((cols - rows) / self._kink_reach(), 0.0, 1.0)
+            tails = np.clip(1.0 - interior - self._kink_corrections(n)[:, None] * ramp, 0.0, 1.0)
+        return tails[:, 0] + frac * (tails[:, -1] - tails[:, 0])
 
     # -- persistence ----------------------------------------------------------
 
@@ -367,7 +348,6 @@ class KernelTables:
         self._kink_corr = corr
         return True
 
-    def cache_path(self, directory: str | None = None) -> str:
-        d = directory or cache_dir()
+    def cache_path(self) -> str:
         name = f"{self.kernel.hash()}_N{self.kernel.dim}_dr{self.dr:.6g}.nlfbkt"
-        return os.path.join(d, name)
+        return os.path.join(cache_dir(), name)

@@ -1,8 +1,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from nlfb import logistic, speed_from_kernel, uniform_kernel
 from nlfb.cli import (EXIT_CONFIG, EXIT_MODEL, EXIT_OK, EXIT_USAGE, dispatch)
 
 
@@ -64,6 +66,19 @@ def test_semiwave_infinite_speed_is_model_error(tmp_path, capsys):
     path = _cfg(tmp_path, "kernel.kind = fat_tail\nkernel.beta = 2.5\nN = 2\n")
     assert dispatch(["semiwave", "--config", path]) == EXIT_MODEL
     assert "infinite speed" in capsys.readouterr().err
+
+
+def test_semiwave_disc_speed_and_profile(tmp_path, capsys):
+    path = _cfg(tmp_path, "kernel.kind = uniform\nN = 2\n")
+    csv = str(tmp_path / "profile.csv")
+    assert dispatch(["semiwave", "--config", path, "--profile-csv", csv]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert abs(out["c0"] - speed_from_kernel(uniform_kernel(2), 1.0, 1.0, logistic())) <= 1e-12
+    profile = np.genfromtxt(csv, delimiter=",", names=True)
+    assert profile.size > 100
+    # non-increasing up to the plateau wiggle criterion 5 allows (1e-8 u*)
+    assert np.all(np.diff(profile["phi"]) <= 1e-8 * out["u_star_hat"])
+    assert profile["phi"][-1] == 0.0
 
 
 def test_eigen_lambda(tmp_path, capsys):

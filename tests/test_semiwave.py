@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from nlfb import (Marginal1D, NumericalError, SemiWaveProblem, SolvabilityError,
-                  logistic, marginal_from_kernel, power_tail_kernel, solve_semiwave,
+                  Reaction, logistic, marginal_from_kernel, power_tail_kernel, solve_semiwave,
                   speed_from_kernel, uniform_kernel)
 from nlfb import semiwave
-from nlfb.semiwave import _Discretization, _scalar_reaction, u_star_hat
+from nlfb.semiwave import _Discretization, u_star_hat
 
 
 def _bump(height: float, half_width: float) -> Marginal1D:
@@ -167,7 +167,7 @@ def test_newton_profile_matches_picard(disc2, logistic_f, d, mu, c):
     disc = _Discretization(prob, ustar)
     guess = ustar * (1.0 - np.exp(disc.x))
     picard = disc.solve_profile(c, logistic_f, guess)
-    newton = disc._newton_profile(c, _scalar_reaction(logistic_f), guess,
+    newton = disc._newton_profile(c, logistic_f, guess,
                                   semiwave.TOL_PICARD * max(ustar, 1.0))
     assert np.abs(newton - picard).max() <= 1e-8
 
@@ -196,3 +196,15 @@ def test_unconverged_tail_at_M_cap_is_rejected(logistic_f):
                            mu=1.0, f=logistic_f, tol_tail=1e-4, M_cap=20.0)
     with pytest.raises(NumericalError, match="M_cap"):
         solve_semiwave(prob)
+
+
+def test_reaction_label_does_not_change_c0(disc2):
+    # f(u) = u (1 - u)(1 + u) is not logistic, whatever its label says
+    def cubic(label):
+        return Reaction(f=lambda u: u * (1.0 - u) * (1.0 + u), fprime0=1.0, u_star=1.0,
+                        label=label)
+
+    c_named = speed_from_kernel(disc2, 1.0, 1.0, cubic("logistic-like"))
+    c_plain = speed_from_kernel(disc2, 1.0, 1.0, cubic("cubic"))
+    assert c_named == c_plain
+    assert abs(c_plain - speed_from_kernel(disc2, 1.0, 1.0, logistic())) > 1e-3

@@ -7,7 +7,7 @@ import pytest
 from nlfb import (KernelTables, RunConfig, SimState, SolvabilityError,
                   SPREADING, UNDECIDED, VANISHING, classify, find_mu_star,
                   logistic, run, step, uniform_kernel)
-from nlfb.solver import _quad_weights, _tail_vector, default_dt, initial_state
+from nlfb.solver import _quad_weights, default_dt, initial_state
 
 
 def _cfg(**kw):
@@ -27,20 +27,39 @@ def test_quad_weights_sum():
 
 @pytest.mark.parametrize("dim, dr", [(2, 0.05), (3, 0.1)])
 def test_banded_tail_vector_matches_row_loop(dim, dr):
-    # the array expression over the band rows against one tail_mass call
-    # per row and column
+    # the array expression over the band rows against, row by row, the
+    # trapezoid of the stored row beyond the column over the row mass
     tab = KernelTables(uniform_kernel(dim), dr)
+
+    def tail(i, j):
+        row = tab.row_values(i, max(i, j) + tab.bw + 1)
+        return np.trapezoid(row[j:], dx=dr) / tab.row_mass(i + 1)[i]
+
     for m in (0, 1, 5, tab.bw - 1, tab.bw, 40, 75):
         for frac in (0.0, 0.3, 0.999):
-            h = (m + frac) * dr
-            t_lo, t_hi = np.zeros(m + 1), np.zeros(m + 1)
-            for i in range(max(m - tab.bw, 0), m + 1):
-                t_lo[i] = tab.tail_mass(i, m)
-                t_hi[i] = tab.tail_mass(i, m + 1)
+            t_lo = np.array([tail(i, m) for i in range(m + 1)])
+            t_hi = np.array([tail(i, m + 1) for i in range(m + 1)])
             expect = t_lo + frac * (t_hi - t_lo)
-            got = _tail_vector(tab, m, h)
+            got = tab.tail_mass_vector(m + 1, m + frac)
             assert got.shape == expect.shape
             assert np.abs(got - expect).max() <= 1e-15, (m, frac)
+
+
+def test_negative_initial_profile_is_rejected():
+    # cos(r) < 0 on (pi/2, 4]: the profile must not be clipped to 0 silently
+    with pytest.raises(ValueError, match="nonnegative"):
+        initial_state(_cfg(h0=4.0, u0=lambda r: np.cos(r)))
+
+
+def test_default_profile_dip_at_the_last_node_is_accepted():
+    # the last node may lie up to 1e-9 * dr beyond h0, where the default
+    # profile is slightly negative; it is clipped to 0, not rejected
+    cfg = _cfg(h0=0.3, dr=0.1)
+    assert 3 * cfg.dr > cfg.h0
+    u = cfg.initial_profile(np.arange(4) * cfg.dr)
+    assert -1e-9 < u[-1] < 0.0
+    state = initial_state(cfg)
+    assert state.u.size == 4 and state.u[-1] == 0.0
 
 
 def test_step_preserves_equilibrium_interior(tables_disc2, logistic_f):

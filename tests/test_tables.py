@@ -153,11 +153,20 @@ def test_tail_mass_vector_dense_accuracy():
         assert abs(tv[i] - exact) < 0.02 * exact + 1e-4, (i, tv[i], exact)
 
 
-def test_jstar_cache_and_moment(tables_disc2, disc2):
-    from nlfb import j_star
-    vals = tables_disc2.jstar_vals(10)
-    direct = j_star(disc2, np.arange(10) * tables_disc2.dr)
-    assert np.abs(vals - direct).max() < 1e-10
+@pytest.mark.parametrize("kernel", [power_tail_kernel(2, 3.5), uniform_kernel(2)],
+                         ids=["dense", "banded"])
+def test_tail_mass_vector_at_fractional_column(kernel):
+    # one call at j + f is the linear interpolation of the calls at the
+    # bracketing integer columns, and an integer column fills no extra row
+    tab = KernelTables(kernel, 0.25)
+    for j in (0, 3, 12, 30):
+        n = j + 1
+        t_j = tab.tail_mass_vector(n, j)
+        assert tab.rows_filled == n
+        t_next = tab.tail_mass_vector(n, j + 1)
+        for f in (0.0, 0.3, 0.999):
+            got = tab.tail_mass_vector(n, j + f)
+            assert np.abs(got - ((1.0 - f) * t_j + f * t_next)).max() <= 1e-15, (j, f)
 
 
 def test_cache_round_trip(tmp_path, disc2):
