@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -70,7 +70,7 @@ class RadialKernel:
     J(r) ~ A r^(-beta) and tail_start the radius beyond which the
     two-sided power bound holds.  tail_antiderivative, when known in
     closed form, is H(s) = int_s^inf t J(t) dt (vectorized); for N = 3
-    it makes Jtilde exact.  It is not part of hash().
+    it makes Jtilde exact.
     """
 
     profile: Callable[[np.ndarray], np.ndarray]
@@ -97,12 +97,15 @@ class RadialKernel:
         return self.profile(np.asarray(r, dtype=float))
 
     def hash(self) -> str:
-        """Stable identity used to key the on-disk kernel-table cache."""
+        """Stable identity keying the on-disk table cache: every field, callables
+        by their samples at probe radii (blind between probes; see KernelTables.save)."""
         probe = np.geomspace(1e-3, 64.0, 96)
-        vals = np.asarray(self(probe), dtype=float)
         h = hashlib.sha256()
-        h.update(repr((self.label, self.kind, self.dim, self.params)).encode())
-        h.update(vals.tobytes())
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if callable(value):
+                value = np.asarray(value(probe), dtype=float).tobytes()
+            h.update(repr((f.name, value)).encode())
         return h.hexdigest()[:16]
 
 

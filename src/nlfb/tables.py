@@ -17,6 +17,9 @@ rows again.
 
 The solver reads a table through conv (the quadrature of Jtilde * u)
 and tail_mass_vector (the tail masses beyond a boundary between columns).
+A band row gets its mass and tail row once, when it is filled or loaded,
+so a step only reads: conv uses windows of one persistent zero-padded
+buffer, and tail_mass_vector gathers two columns of <= 2*bw tail rows.
 
 A table can be persisted to a small binary cache file (format v4): a
 header naming the kernel, grid and block shape, the stored block row
@@ -79,8 +82,8 @@ class KernelTables:
             self.bw = 0
         self._rows_filled = 0
         self._cap = 0
-        self._data = np.zeros((0, 0))
-        self._row_mass = np.zeros(0)
+        self._data = self._tail = self._windows = np.zeros((0, 2 * self.bw + 1))
+        self._row_mass = self._pad = np.zeros(0)
         self._kink_corr = np.zeros(0)
         self._window_mass = np.zeros(0)
 
@@ -90,11 +93,39 @@ class KernelTables:
         """Inclusive column range of band row i."""
         return max(i - self.bw, 0), i + self.bw
 
-    def _fill_row(self, i: int) -> None:
+    def _band_row(self, i: int) -> np.ndarray:
+        """Stored band row i by quadrature; entries left of column 0 are zero."""
         lo, hi = self._row_cols(i)
         rho = np.arange(lo, hi + 1) * self.dr
-        vals = kmod.j_tilde_row(self.kernel, i * self.dr, rho, FILL_ORDER)
-        self._data[i, lo - (i - self.bw):lo - (i - self.bw) + vals.size] = vals
+        row = np.zeros(2 * self.bw + 1)
+        row[lo - (i - self.bw):] = kmod.j_tilde_row(self.kernel, i * self.dr, rho, FILL_ORDER)
+        return row
+
+    def _append_band(self, rows: np.ndarray) -> None:
+        """Store new band rows, from quadrature or a cache file, and derive theirs.
+
+        Each gets its mass and its tail row tail[i, k] = clip(dr * (band[i,
+        k:].sum() - band[i, k] / 2) / mass[i], 0, 1), the mass beyond band
+        column k.  conv's padded buffer and window view follow the capacity.
+        """
+        start, width = self._rows_filled, 2 * self.bw + 1
+        stop = start + rows.shape[0]
+        if stop > self._data.shape[0]:
+            cap = max(stop, 2 * self._data.shape[0] + 16)
+            grown = (np.zeros((cap, width)), np.zeros(cap), np.zeros((cap, width)))
+            for new, old in zip(grown, (self._data, self._row_mass, self._tail)):
+                new[:start] = old[:start]
+            self._data, self._row_mass, self._tail = grown
+            self._pad = np.zeros(cap + 2 * self.bw)
+            self._windows = np.lib.stride_tricks.sliding_window_view(self._pad, width)
+        self._data[start:stop] = rows
+        band = self._data[start:stop]
+        # band endpoints are zero, so the trapezoid is a plain sum
+        mass = self._row_mass[start:stop] = band.sum(axis=1) * self.dr
+        beyond = np.cumsum(band[:, ::-1], axis=1)[:, ::-1]  # beyond[:, k] = band[:, k:].sum()
+        self._tail[start:stop] = np.clip(self.dr * (beyond - 0.5 * band) / mass[:, None],
+                                         0.0, 1.0)
+        self._rows_filled = stop
 
     def _fill_dense(self, start: int, stop: int) -> None:
         """Rows and columns start..stop-1 of the dense block."""
@@ -113,15 +144,9 @@ class KernelTables:
         and columns.
         """
         if self.banded:
-            if n_rows > self._data.shape[0]:
-                grown = np.zeros((max(n_rows, 2 * self._data.shape[0] + 16),
-                                  2 * self.bw + 1))
-                if self._rows_filled:
-                    grown[:self._rows_filled] = self._data[:self._rows_filled]
-                self._data = grown
-            for i in range(self._rows_filled, n_rows):
-                self._fill_row(i)
-            self._rows_filled = max(self._rows_filled, n_rows)
+            new = range(self._rows_filled, n_rows)
+            if new:
+                self._append_band(np.array([self._band_row(i) for i in new]))
             return
         n = n_rows if n_cols is None else max(n_rows, n_cols)
         filled = self._rows_filled
@@ -163,15 +188,13 @@ class KernelTables:
         by the trapezoid error at the kernel kinks.  Solver quadrature
         divides by it so that the discretized operator conserves mass
         exactly (the interior equilibrium stays at u_star and the
-        comparison structure is unchanged).  Fat-tail rows are truncated
-        by storage, so their exact mass 1 is used directly.
+        comparison structure is unchanged); band masses are computed
+        when their rows are filled.  Fat-tail rows are truncated by
+        storage, so their exact mass 1 is used directly.
         """
         if not self.banded:
             return np.ones(n)
         self.ensure(n)
-        if self._row_mass.size < n:
-            # band endpoints are zero, so the trapezoid is a plain sum
-            self._row_mass = self._data[:self._rows_filled].sum(axis=1) * self.dr
         return self._row_mass[:n]
 
     def _kink_reach(self) -> int:
@@ -227,16 +250,18 @@ class KernelTables:
 
         The caller supplies v = quadrature_weight * u; the result is the
         mass-normalized trapezoid approximation of
-        int Jtilde(r_i, rho) u(rho) d rho at every grid node.
+        int Jtilde(r_i, rho) u(rho) d rho at every grid node.  A band
+        table writes v into its persistent padded buffer and reads the
+        buffer's window view and the row masses built at fill.
         """
         n = weighted_u.size
         self.ensure(n, n)
         if not self.banded:
             return self._data[:n, :n] @ weighted_u
-        padded = np.zeros(n + 2 * self.bw)
-        padded[self.bw:self.bw + n] = weighted_u
-        windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * self.bw + 1)
-        return np.einsum("ij,ij->i", self._data[:n], windows) / self.row_mass(n)
+        bw = self.bw
+        self._pad[bw:bw + n] = weighted_u
+        self._pad[bw + n:2 * bw + n] = 0.0  # a longer earlier call left values here
+        return np.einsum("ij,ij->i", self._data[:n], self._windows[:n]) / self._row_mass[:n]
 
     def tail_mass(self, i: int, j: float) -> float:
         """T(r_i, j*dr) of one row; see tail_mass_vector."""
@@ -249,7 +274,8 @@ class KernelTables:
         columns lo = floor(j + 1e-9), the solver's boundary node, and
         lo + 1, both read in one pass; an integer j reads column j alone.
         Compact kernels integrate the stored band beyond the column, which
-        is free of cancellation, and divide by the row mass; fat tails use
+        is free of cancellation, and divide by the row mass; the tail rows
+        built at fill hold this for every band column.  Fat tails use
         1 - interior - kink correction (the row integrates to 1 exactly).
         Both are clamped to [0, 1].
         """
@@ -261,14 +287,11 @@ class KernelTables:
             self.ensure(n)
             # rows i <= lo - bw end at or before column lo and leak nothing
             first = min(max(lo - self.bw + 1, 0), n)
-            band = self._data[first:n]
             # band index of each column, or of the row's first column when
             # the column lies left of it
             k = np.maximum(cols - rows[first:] + self.bw, 0)
-            beyond = np.cumsum(band[:, ::-1], axis=1)[:, ::-1]  # beyond[:, k] = band[:, k:].sum()
-            tail = np.take_along_axis(beyond - 0.5 * band, k, axis=1)
             tails = np.zeros((n, cols.size))
-            tails[first:] = np.clip(self.dr * tail / self.row_mass(n)[first:, None], 0.0, 1.0)
+            tails[first:] = self._tail[rows[first:], k]
         else:
             width = cols[-1] + 1
             self.ensure(n, width)
@@ -289,7 +312,12 @@ class KernelTables:
         return 2 * self.bw + 1 if self.banded else n_rows
 
     def save(self, path: str) -> None:
-        """Write the filled rows and kink corrections to path atomically."""
+        """Write the filled rows and kink corrections to path atomically.
+
+        Kernels without params are skipped: profiles alike at the hash's
+        samples would share a file."""
+        if not self.kernel.params:
+            return
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as fh:
@@ -328,10 +356,12 @@ class KernelTables:
     def load(self, path: str) -> bool:
         """Adopt cached rows if the file matches this kernel and grid.
 
-        Returns True when rows were loaded; a mismatched, truncated or
-        corrupt file is ignored and leaves the table as it was (it just
-        refills from scratch).
+        Returns True when rows were loaded; a kernel without params (see
+        save) or a mismatched, truncated or corrupt file leaves the table
+        as it was (it just refills from scratch).
         """
+        if not self.kernel.params:
+            return False
         try:
             with open(path, "rb") as fh:
                 raw = fh.read()
@@ -341,10 +371,12 @@ class KernelTables:
         if parsed is None:
             return False
         block, corr = parsed
-        self._data = block
-        self._cap = 0 if self.banded else block.shape[0]
-        self._rows_filled = block.shape[0]
-        self._row_mass = np.zeros(0)
+        if self.banded:
+            self._rows_filled = 0
+            self._append_band(block)
+        else:
+            self._data = block
+            self._cap = self._rows_filled = block.shape[0]
         self._kink_corr = corr
         return True
 

@@ -313,6 +313,11 @@ def test_kernel_hash_distinguishes():
     assert uniform_kernel(2).hash() != uniform_kernel(3).hash()
     assert uniform_kernel(2).hash() == uniform_kernel(2, 1.0).hash()
     assert power_tail_kernel(2, 3.0).hash() != power_tail_kernel(2, 3.5).hash()
+    # fields that shape a table but not the profile samples
+    disc = uniform_kernel(2)
+    for change in (dict(support_radius=1.5), dict(breakpoints=(0.5, 1.0)),
+                   dict(tail_antiderivative=None)):
+        assert dataclasses.replace(disc, **change).hash() != disc.hash(), change
 
 
 # ---------------------------------------------------------------------------

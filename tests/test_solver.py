@@ -1,8 +1,11 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlfb import (KernelTables, RunConfig, SimState, SolvabilityError,
                   SPREADING, UNDECIDED, VANISHING, classify, find_mu_star,
@@ -25,10 +28,30 @@ def test_quad_weights_sum():
     assert abs(w.sum() - (1.0 + 0.04 / 2)) < 1e-14
 
 
+def _per_call_band_tails(tab, n, j):
+    """Band tails as tail_mass_vector once computed them on every call:
+    reversed cumulative sums of the band rows, gathered at the bracketing
+    columns, over row masses summed from the whole filled block."""
+    lo = int(np.floor(j + 1e-9))
+    frac = j - lo
+    cols = np.arange(lo, lo + 1 + (frac != 0))
+    rows = np.arange(n)[:, None]
+    first = min(max(lo - tab.bw + 1, 0), n)
+    band = tab._data[first:n]
+    k = np.maximum(cols - rows[first:] + tab.bw, 0)
+    beyond = np.cumsum(band[:, ::-1], axis=1)[:, ::-1]
+    tail = np.take_along_axis(beyond - 0.5 * band, k, axis=1)
+    mass = tab._data[:tab.rows_filled].sum(axis=1) * tab.dr
+    tails = np.zeros((n, cols.size))
+    tails[first:] = np.clip(tab.dr * tail / mass[first:n, None], 0.0, 1.0)
+    return tails[:, 0] + frac * (tails[:, -1] - tails[:, 0])
+
+
 @pytest.mark.parametrize("dim, dr", [(2, 0.05), (3, 0.1)])
 def test_banded_tail_vector_matches_row_loop(dim, dr):
     # the array expression over the band rows against, row by row, the
-    # trapezoid of the stored row beyond the column over the row mass
+    # trapezoid of the stored row beyond the column over the row mass, and
+    # bit for bit against the per-call expression
     tab = KernelTables(uniform_kernel(dim), dr)
 
     def tail(i, j):
@@ -43,6 +66,7 @@ def test_banded_tail_vector_matches_row_loop(dim, dr):
             got = tab.tail_mass_vector(m + 1, m + frac)
             assert got.shape == expect.shape
             assert np.abs(got - expect).max() <= 1e-15, (m, frac)
+            assert np.array_equal(got, _per_call_band_tails(tab, m + 1, m + frac)), (m, frac)
 
 
 def test_negative_initial_profile_is_rejected():
@@ -228,3 +252,56 @@ def test_initial_state_grid(disc2):
     assert st.u.size == 13  # nodes 0 .. 1.2
     assert st.h == 1.27
     assert st.u[0] == 0.8
+
+
+# ---------------------------------------------------------------------------
+# discrete invariants of short banded runs, property-based
+# ---------------------------------------------------------------------------
+
+PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
+                             database=None)
+BAND_GRIDS = st.sampled_from([(2, 0.05), (2, 0.1), (3, 0.05), (3, 0.1)])
+#: ordering slack: the monotone update is exact only up to rounding
+ORDER_TOL = 1e-12
+
+
+@functools.cache
+def _band_tables(dim, dr):
+    """One table per grid, shared by every example like sweep shares one."""
+    return KernelTables(uniform_kernel(dim), dr)
+
+
+def _short_run(grid, **kw):
+    # a fixed dt keeps the runs of a pair on the same time grid; dt (d + Lip f)
+    # stays <= 0.3 for amplitudes up to 1.5
+    tab = _band_tables(*grid)
+    return run(RunConfig(kernel=tab.kernel, d=1.0, reaction=logistic(), dr=tab.dr, dt=0.1,
+                         t_end=4.0, snapshot_stride=0.5, **kw), tables=tab)
+
+
+@PROPERTY_SETTINGS
+@given(grid=BAND_GRIDS, h0=st.floats(0.5, 3.0), amp=st.floats(0.05, 1.5),
+       mu=st.floats(0.1, 5.0))
+def test_band_run_bounds_and_monotone_front(grid, h0, amp, mu):
+    traj = _short_run(grid, h0=h0, u0_amplitude=amp, mu=mu)
+    bound = max(amp, 1.0) * (1.0 + ORDER_TOL)  # max(|u0|_inf, u_star)
+    assert np.all(np.diff(traj.h) >= 0.0)
+    assert traj.u_max.max() <= bound
+    for _, _, u in traj.snapshots:
+        assert u.min() >= 0.0 and u.max() <= bound
+
+
+@PROPERTY_SETTINGS
+@given(grid=BAND_GRIDS, h0=st.floats(0.5, 2.5), dh=st.floats(0.0, 0.5),
+       amp=st.floats(0.05, 1.2), gain=st.floats(1.0, 1.25), mu=st.floats(0.1, 4.0),
+       mu_gain=st.floats(1.0, 3.0))
+def test_band_comparison_principle(grid, h0, dh, amp, gain, mu, mu_gain):
+    # amp (1 - (r/h0)^2) grows with amp and h0: larger data, or a larger mu,
+    # keep h and u above the smaller run at every recorded time
+    low = _short_run(grid, h0=h0, u0_amplitude=amp, mu=mu)
+    for high in (_short_run(grid, h0=h0 + dh, u0_amplitude=amp * gain, mu=mu),
+                 _short_run(grid, h0=h0, u0_amplitude=amp, mu=mu * mu_gain)):
+        assert np.all(high.h >= low.h - ORDER_TOL)
+        for (_, _, u_low), (_, _, u_high) in zip(low.snapshots, high.snapshots):
+            m = min(u_low.size, u_high.size)
+            assert np.all(u_high[:m] >= u_low[:m] - ORDER_TOL)

@@ -4,8 +4,9 @@ import struct
 import numpy as np
 import pytest
 
-from nlfb import (KernelTables, j_tilde, j_tilde_row, kernels, power_tail_kernel,
-                  uniform_kernel)
+from nlfb import (KernelTables, RunConfig, custom_kernel, j_tilde, j_tilde_row, kernels,
+                  logistic, power_tail_kernel, run, uniform_kernel)
+from nlfb.solver import _slopes
 from nlfb.tables import FILL_ORDER, cache_dir
 
 
@@ -111,6 +112,38 @@ def test_conv_matches_dense_matvec(tables_disc2):
     assert np.abs(tab.conv(v) - expect).max() < 1e-12
 
 
+def test_conv_after_a_longer_call_matches_fresh_table(disc2):
+    # sweep and find_mu_star reuse one table while n shrinks: the padded
+    # buffer must not carry values past the shorter vector
+    v = np.random.default_rng(5).uniform(0.0, 1.0, 120)
+    shared = KernelTables(disc2, 0.05)
+    shared.conv(v)
+    assert np.array_equal(shared.conv(v[:50]), KernelTables(disc2, 0.05).conv(v[:50]))
+
+
+def test_band_steps_do_no_table_work(disc2, count_rows, monkeypatch):
+    # once the rows exist, a step only reads the table: no row fill and no
+    # cumulative sums of band rows
+    cumsums = []
+    inner = np.cumsum
+
+    def counting(*args, **kw):
+        cumsums.append(1)
+        return inner(*args, **kw)
+
+    tab = KernelTables(disc2, 0.05)
+    m = 60
+    tab.ensure(m + 2)
+    cfg = RunConfig(kernel=disc2, d=1.0, mu=1.0, reaction=logistic(), h0=3.0)
+    u = np.linspace(1.0, 0.0, m + 1)
+    before = count_rows["calls"]
+    monkeypatch.setattr(np, "cumsum", counting)
+    for _ in range(100):
+        _slopes(u, (m + 0.4) * tab.dr, cfg, tab)
+    assert count_rows["calls"] == before
+    assert not cumsums
+
+
 def test_tail_mass_limits(tables_disc2):
     tab = tables_disc2
     assert tab.tail_mass(10, 10 + tab.bw) == 0.0
@@ -179,6 +212,59 @@ def test_cache_round_trip(tmp_path, disc2):
     assert fresh.rows_filled == 30
     for i, j in ((3, 7), (20, 25)):
         assert _entry(fresh, i, j) == _entry(tab, i, j)
+
+
+@pytest.mark.parametrize("kernel", [uniform_kernel(2), uniform_kernel(3)],
+                         ids=["disc2", "ball3"])
+def test_loaded_band_table_matches_fresh_table(tmp_path, kernel):
+    # a loaded table derives row masses, tail rows and the conv buffer like
+    # a filled one, before and after it grows past its 30 cached rows
+    dr = 0.1
+    cached = KernelTables(kernel, dr)
+    cached.ensure(30)
+    path = str(tmp_path / "t.nlfbkt")
+    cached.save(path)
+
+    def loaded():
+        tab = KernelTables(kernel, dr)
+        assert tab.load(path)
+        return tab
+
+    tab, fresh = loaded(), KernelTables(kernel, dr)
+    rng = np.random.default_rng(11)
+    for n in (20, 30, 90):
+        v = rng.uniform(0.0, 1.0, n)
+        assert np.array_equal(tab.conv(v), fresh.conv(v)), n
+        assert np.array_equal(tab.row_mass(n), fresh.row_mass(n)), n
+        for j in (n - 1, n - 0.7):
+            assert np.array_equal(tab.tail_mass_vector(n, j), fresh.tail_mass_vector(n, j))
+    cfg = RunConfig(kernel=kernel, d=1.0, mu=2.0, reaction=logistic(), h0=2.5, dr=dr,
+                    t_end=20.0)
+    traj = run(cfg, tables=loaded())
+    assert traj.h[0] < 3.0 < traj.h[-1]
+    assert np.array_equal(traj.h, run(cfg, tables=KernelTables(kernel, dr)).h)
+
+
+def test_custom_kernels_without_params_are_not_cached(tmp_path, monkeypatch):
+    # two profiles equal at the hash's probe radii, different between them
+    monkeypatch.setenv("NLFB_CACHE_DIR", str(tmp_path))
+    probe = np.geomspace(1e-3, 64.0, 96)
+    i = np.searchsorted(probe, 0.5)
+    a, b = probe[i - 1] + np.array([1.0, 2.0]) / 3.0 * (probe[i] - probe[i - 1])
+
+    def disc(r):
+        return np.where(r <= 1.0, 1.0 / np.pi, 0.0)
+
+    def dented(r):
+        return np.where((r > a) & (r < b), 0.5 / np.pi, disc(r))
+
+    plain = custom_kernel(disc, 2, support_radius=1.0, label="disc")
+    other = custom_kernel(dented, 2, support_radius=1.0, label="disc")
+    tab = KernelTables(plain, 0.1)
+    tab.ensure(20)
+    tab.save(tab.cache_path())
+    assert not KernelTables(other, 0.1).load(tab.cache_path())
+    assert os.listdir(tmp_path) == []
 
 
 def _write_v1(path, tab):
