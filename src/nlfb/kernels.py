@@ -10,14 +10,14 @@ R^N.  Two derived objects drive everything else:
 
 Jtilde is evaluated through its angular representation
 
-    Jtilde(r, rho) = w_{N-1} rho^{N-1}
-                     int_0^pi (sin t)^{N-2} J(sqrt(r^2+rho^2-2 r rho cos t)) dt,
+    Jtilde(r, rho) = w_{N-1} rho^{N-1} int_0^pi (sin t)^{N-2} J(chord(t)) dt,
+    chord(t)^2 = (r - rho)^2 + 4 r rho sin^2(t/2)  (= r^2 + rho^2 - 2 r rho cos t),
 
 which is smooth in t (the eta-substitution form has endpoint
 singularities for N = 2), unless N = 3 and the kernel carries
 H(s) = int_s^inf t J(t) dt in closed form (tail_antiderivative, as the
-built-in kernels do).  Then s^2 = r^2 + rho^2 - 2 r rho cos t gives the
-exact Jtilde(r, rho) = (2 pi rho / r) (H(|r - rho|) - H(r + rho)).
+built-in kernels do).  Then s = chord(t) gives the exact
+Jtilde(r, rho) = (2 pi rho / r) (H(|r - rho|) - H(r + rho)).
 Jstar is evaluated through
 
     Jstar(l) = w_{N-1} int_0^inf J(sqrt(l^2 + s^2)) s^{N-2} ds.
@@ -374,32 +374,39 @@ def moment_identity_check(kernel: RadialKernel) -> tuple[float, float, float]:
 # the sphere-to-sphere kernel Jtilde
 # ---------------------------------------------------------------------------
 
+def _chord_angle(r: float, rho: np.ndarray, b: float) -> np.ndarray:
+    """Polar angle where the chord sqrt((r - rho)^2 + 4 r rho sin^2(t/2)) equals b.
+
+    2 arcsin(sqrt((b - d)(b + d) / (4 r rho))) with d = |r - rho|: 0 for b <= d,
+    pi for b >= r + rho, and no cancellation near 0 as with arccos.  r, rho > 0.
+    """
+    d = np.abs(r - rho)
+    return 2.0 * np.arcsin(np.sqrt(np.clip((b - d) * (b + d) / (4.0 * r * rho), 0.0, 1.0)))
+
+
 def _theta_breaks(kernel: RadialKernel, r: float, rho: np.ndarray) -> np.ndarray:
     """Angular panel edges, shape (len(rho), nb + 2), sorted along axis 1.
 
-    A profile breakpoint at radius b maps to the polar angle where the
-    chord length sqrt(r^2 + rho^2 - 2 r rho cos t) equals b.
+    A profile breakpoint at radius b maps to _chord_angle(r, rho, b), the
+    polar angle where the chord equals b.
     """
-    cols = [np.zeros_like(rho)]
-    denom = 2.0 * r * rho
-    for b in kernel.breakpoints:
-        arg = (r * r + rho * rho - b * b) / denom
-        cols.append(np.arccos(np.clip(arg, -1.0, 1.0)))
-    cols.append(np.full_like(rho, math.pi))
+    cols = [np.zeros_like(rho), *(_chord_angle(r, rho, b) for b in kernel.breakpoints),
+            np.full_like(rho, math.pi)]
     return np.sort(np.stack(cols, axis=1), axis=1)
 
 
 def _fat_theta_edges(r: float, rho: np.ndarray) -> np.ndarray:
     """Angular edges graded toward theta = 0 for unbounded-support kernels.
 
-    J(dist(theta)) is peaked at theta = 0 with width ~ 1/sqrt(r rho)
-    once the spheres are large, so a single panel over [0, pi] loses
-    the peak entirely; geometric panels keep a fixed node density per
-    octave of the peak scale.
+    J(chord(theta)) peaks at theta = 0 with width theta0 = (1 + |r - rho|) /
+    (1 + sqrt(r rho)), the chord being ~ sqrt((r - rho)^2 + r rho theta^2).
+    Edges 0, theta0, 4 theta0, ... capped at pi keep a fixed node density
+    per octave of the peak, so far entries (wide peaks) take few panels;
+    repeated pi edges are empty panels, which _j_tilde_panels skips.
     """
-    theta0 = 1.0 / (1.0 + np.sqrt(r * rho))
+    theta0 = (1.0 + np.abs(r - rho)) / (1.0 + np.sqrt(r * rho))
     cols = [np.zeros_like(rho)]
-    scale = theta0.copy()
+    scale = theta0
     for _ in range(40):
         cols.append(np.minimum(scale, math.pi))
         if np.all(scale >= math.pi):
@@ -410,23 +417,24 @@ def _fat_theta_edges(r: float, rho: np.ndarray) -> np.ndarray:
 
 def _j_tilde_panels(kernel: RadialKernel, r: float, rho: np.ndarray,
                     edges: np.ndarray, order: int) -> np.ndarray:
-    # One panel at a time, not gl_panels: in the benchmark's fat_tail_front
-    # (seed 901, 2-vCPU Xeon VM) all panels at once raised peak RSS from
-    # 86.4 to 89.6-89.9 MB (+3.9 %), and one gl_panels call per panel made the
-    # N=2 beta=2.8 front 6-16 % slower (min of 3: 1.90-1.99 s -> 2.02-2.30 s).
+    # One panel at a time, over its live rows (b > a) only: in the benchmark's
+    # fat_tail_front (seeds 1-3, 2-vCPU VM, order 24) all panels at once raised
+    # peak RSS from 87.0-87.2 to 88.4-88.7 MB and wall_s from 0.53-0.64 s to
+    # 0.75-0.97 s.
     n = kernel.dim
     x, gw = gl_rule(order)
+    gap2, span = (r - rho) ** 2, 4.0 * r * rho
     acc = np.zeros_like(rho)
     for p in range(edges.shape[1] - 1):
-        a, b = edges[:, p], edges[:, p + 1]
-        half = 0.5 * (b - a)
+        live = np.flatnonzero(edges[:, p + 1] > edges[:, p])
+        a = edges[live, p]
+        half = 0.5 * (edges[live, p + 1] - a)
         t = a[:, None] + half[:, None] * (x[None, :] + 1.0)
-        dist = np.sqrt(r * r + rho[:, None] ** 2
-                       - 2.0 * r * rho[:, None] * np.cos(t))
-        vals = kernel(dist)
+        # chord^2 = (r - rho)^2 + 4 r rho sin^2(t/2), without cancellation near t = 0
+        vals = kernel(np.sqrt(gap2[live, None] + span[live, None] * np.sin(0.5 * t) ** 2))
         if n > 2:
             vals = vals * np.sin(t) ** (n - 2)
-        acc += half * (vals @ gw)
+        acc[live] += half * (vals @ gw)
     return unit_sphere_area(n - 1) * rho ** (n - 1) * acc
 
 
@@ -465,7 +473,9 @@ def j_tilde_row(kernel: RadialKernel, r: float, rho, order: int = DEFAULT_ORDER)
             return out
         vals = np.zeros_like(rp)
         rr = rp[reach]
-        vals[reach] = _j_tilde_panels(kernel, r, rr, _theta_breaks(kernel, r, rr), order)
+        # J = 0 beyond the support angle: the edges stop there
+        edges = np.minimum(_theta_breaks(kernel, r, rr), _chord_angle(r, rr, K)[:, None])
+        vals[reach] = _j_tilde_panels(kernel, r, rr, edges, order)
         out[pos] = vals
         return out
     edges = _fat_theta_edges(r, rp)

@@ -13,7 +13,9 @@ through the symmetry identity
     r^{N-1} Jtilde(r, rho) = rho^{N-1} Jtilde(rho, r),
 
 so growing the table copies the filled block and never evaluates old
-rows again.
+rows again.  Dense tables fill _kink_reach() rows ahead of the rows the
+solver reads: the kink window of row i reaches column i + reach, and
+every entry it reads is a stored one.
 
 The solver reads a table through conv (the quadrature of Jtilde * u)
 and tail_mass_vector (the tail masses beyond a boundary between columns).
@@ -21,15 +23,16 @@ A band row gets its mass and tail row once, when it is filled or loaded,
 so a step only reads: conv uses windows of one persistent zero-padded
 buffer, and tail_mass_vector gathers two columns of <= 2*bw tail rows.
 
-A table can be persisted to a small binary cache file (format v4): a
+A table can be persisted to a small binary cache file (format v5): a
 header naming the kernel, grid and block shape, the stored block row
 by row (band rows of width 2*bw + 1, or dense rows over the columns
 below rows_filled), then the dense kink corrections.  save() writes a
 temporary file and renames it into place; load() validates the whole
-file before adopting anything.  v3 and v4 keep the v2 layout under new
+file before adopting anything.  v3 to v5 keep the v2 layout under new
 tags, so stale numbers are not reused: v2 N = 3 rows came from angular
-quadrature (~1e-13 off exact), and v3 kink corrections from a graded
-angular rule (up to ~4e-10 off).
+quadrature (~1e-13 off exact), v3 kink corrections from a graded
+angular rule (up to ~4e-10 off), and v4 angular entries from order-48
+panels on the cosine form of the chord (up to ~7e-12 off).
 """
 
 from __future__ import annotations
@@ -43,12 +46,16 @@ import numpy as np
 from . import kernels as kmod
 from .kernels import RadialKernel
 
-MAGIC = b"NLFBKT4\x00"
+MAGIC = b"NLFBKT5\x00"
 #: dim, dr, kernel hash, rows, banded flag, stored row width, kink corrections
 _HEADER = struct.Struct("<id16siiii")
 #: Gauss-Legendre order per angular panel when sampling table entries by
-#: the angular rule (N = 2 and custom N = 3 kernels; exact entries ignore it)
-FILL_ORDER = 48
+#: the angular rule (N = 2 and custom N = 3 kernels; exact entries ignore it).
+#: Largest error against 40-digit mpmath at 24 (at 48 on the cosine chord
+#: before): beta = 2.8, N = 2 rows 10, 100, 499 at dr = 0.25, 6.5e-16 relative
+#: (7.3e-12); cosine-bump N = 2 band rows to r = 40 at dr = 0.05, 3.6e-15 of
+#: the row maximum (1.4e-12); disc band entries exact to rounding (unchanged).
+FILL_ORDER = 24
 #: dense rows per shell_mass call for the kink-correction window masses.  One
 #: call per new row costs ~0.2 ms of fixed overhead; larger blocks add their
 #: scratch arrays to the peak memory (fat_tail_front fronts: +0.1 MB at 32
@@ -221,27 +228,22 @@ class KernelTables:
         split at the corners of Omega, s in {|r - a|, r + a, |b - r|,
         r + b}, with s = end +- u^2 on each half piece.  These masses
         need no table and come WINDOW_BLOCK rows per call.  The
-        trapezoid reads the stored row; only window columns at or
-        beyond rows_filled are evaluated.
+        trapezoid reads the stored row: the table is first filled to
+        n + reach rows, so every window column is a stored entry, and
+        the rows filled ahead are the ones the solver reads next.
         """
         if self._kink_corr.size >= n:
             return self._kink_corr[:n]
-        self.ensure(n)
-        reach, dr, filled = self._kink_reach(), self.dr, self._rows_filled
+        reach, dr = self._kink_reach(), self.dr
+        self.ensure(n + reach)
         while self._window_mass.size < n:
             ahead = self._window_mass.size + np.arange(WINDOW_BLOCK)
             mass = kmod.shell_mass(self.kernel, ahead * dr, np.maximum(ahead - reach, 0) * dr,
                                    (ahead + reach) * dr)
             self._window_mass = np.concatenate((self._window_mass, mass))
         done = self._kink_corr.size
-        trap = np.empty(n - done)
-        for i in range(done, n):
-            grid = self._data[i, max(0, i - reach):min(i + reach + 1, filled)]
-            if i + reach >= filled:
-                beyond = np.arange(filled, i + reach + 1) * dr
-                grid = np.concatenate(
-                    (grid, kmod.j_tilde_row(self.kernel, i * dr, beyond, FILL_ORDER)))
-            trap[i - done] = np.trapezoid(grid, dx=dr)
+        trap = [np.trapezoid(self._data[i, max(0, i - reach):i + reach + 1], dx=dr)
+                for i in range(done, n)]
         self._kink_corr = np.concatenate((self._kink_corr, self._window_mass[done:n] - trap))
         return self._kink_corr[:n]
 

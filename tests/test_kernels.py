@@ -17,6 +17,7 @@ from nlfb import kernels
 from nlfb.kernels import (boundary_flux, interior_rho_integral,
                           j_star_first_moment, normalization,
                           outward_rho_integral, require_valid, shell_mass)
+from nlfb.tables import FILL_ORDER
 
 
 def test_unit_sphere_areas():
@@ -296,6 +297,100 @@ def test_jtilde_order_doubling_stable(disc2):
     a = float(j_tilde_row(disc2, 0.7, np.array([1.1]), 48)[0])
     b = float(j_tilde_row(disc2, 0.7, np.array([1.1]), 96)[0])
     assert abs(a - b) < 1e-9 * max(1.0, abs(a))
+
+
+def _jtilde2_mp(profile, r, rho, top=mpmath.pi):
+    """2 rho int_0^top J(chord(t)) dt, Jtilde for N = 2, in 40-digit mpmath.
+
+    chord(t)^2 = (r - rho)^2 + 4 r rho sin^2(t/2); profile takes an mpf
+    chord.  The integral splits at 4^k / (1 + sqrt(r rho)) toward the peak
+    at t = 0, a grading of its own, not the one under test.
+    """
+    with mpmath.workdps(40):
+        r, rho, top = mpmath.mpf(r), mpmath.mpf(rho), mpmath.mpf(top)
+        pts, t = [mpmath.mpf(0)], 1 / (1 + mpmath.sqrt(r * rho))
+        while t < top:
+            pts.append(t)
+            t *= 4
+        pts.append(top)
+        return 2 * rho * mpmath.quad(
+            lambda t: profile(mpmath.sqrt((r - rho) ** 2 + 4 * r * rho * mpmath.sin(t / 2) ** 2)),
+            pts)
+
+
+def test_fat_tail_table_rows_match_mpmath():
+    # beta = 2.8, N = 2 dense rows at dr = 0.25, near and far from the diagonal
+    beta, dr = 2.8, 0.25
+    k = power_tail_kernel(2, beta)
+    with mpmath.workdps(40):
+        amp = 1 / (2 * mpmath.pi * mpmath.beta(2, mpmath.mpf(beta) - 2))
+
+    def profile(s):
+        return amp * (1 + s) ** -mpmath.mpf(beta)
+
+    for i in (10, 100, 499):
+        cols = np.unique([1, 2, i // 4, i // 2, i - 3, i - 1, i])
+        got = j_tilde_row(k, i * dr, cols * dr, FILL_ORDER)
+        exact = np.array([float(_jtilde2_mp(profile, i * dr, j * dr)) for j in cols])
+        assert np.all(np.abs(got - exact) <= 1e-13 * exact), (i, (got - exact) / exact)
+
+
+def test_cosine_bump_band_rows_match_mpmath():
+    # every band column of N = 2 rows to r = 40 at dr = 0.05; J = 0 beyond the
+    # support angle, where the chord reaches K = 1
+    k, dr = cosine_bump_kernel(2), 0.05
+    with mpmath.workdps(40):
+        mass = 2 * mpmath.pi * mpmath.quad(lambda s: s * (1 + mpmath.cos(mpmath.pi * s)) / 2,
+                                           [0, 1])
+
+    def profile(s):
+        return (1 + mpmath.cos(mpmath.pi * s)) / (2 * mass)
+
+    def exact(r, rho):
+        with mpmath.workdps(40):
+            gap = abs(mpmath.mpf(r) - mpmath.mpf(rho))
+            if gap >= 1:
+                return 0.0
+            x = (1 - gap) * (1 + gap) / (4 * mpmath.mpf(r) * mpmath.mpf(rho))
+            top = mpmath.pi if x >= 1 else 2 * mpmath.asin(mpmath.sqrt(x))
+            return float(_jtilde2_mp(profile, r, rho, top))
+
+    for i in (1, 20, 800):
+        cols = np.arange(max(i - 20, 1), i + 21)
+        got = j_tilde_row(k, i * dr, cols * dr, FILL_ORDER)
+        ref = np.array([exact(i * dr, j * dr) for j in cols])
+        assert np.abs(got - ref).max() <= 1e-13 * ref.max(), i
+
+
+def test_disc_band_entries_are_the_support_angle(disc2):
+    # J is the constant 1/pi out to the chord angle theta_K: Jtilde = 2 rho theta_K / pi
+    dr = 0.05
+    for i in (1, 10, 20, 60, 800):
+        rho = np.arange(max(i - 21, 1), i + 22) * dr
+        expect = 2.0 * rho * kernels._chord_angle(i * dr, rho, 1.0) / math.pi
+        got = j_tilde_row(disc2, i * dr, rho, FILL_ORDER)
+        assert np.array_equal(got == 0.0, expect == 0.0), i
+        assert np.all(np.abs(got - expect) <= 1e-14 * expect), i
+
+
+def test_disc_band_rows_evaluate_the_profile_inside_the_support(disc2):
+    # the edges stop at the support angle, so each entry takes one panel and
+    # every chord handed to the profile is within the support
+    chords = []
+
+    def profile(s):
+        chords.append(np.array(s, copy=True).ravel())
+        return disc2.profile(s)
+
+    k, dr = dataclasses.replace(disc2, profile=profile), 0.05
+    for i in (1, 20, 800):
+        rho = np.arange(max(i - 21, 1), i + 22) * dr
+        chords.clear()
+        j_tilde_row(k, i * dr, rho, FILL_ORDER)
+        seen = np.concatenate(chords)
+        inside = np.count_nonzero(kernels._chord_angle(i * dr, rho, 1.0) > 0.0)
+        assert seen.size == FILL_ORDER * inside, i
+        assert seen.max() <= 1.0 + 1e-12, i
 
 
 def test_boundary_flux_compact_limit(disc2):

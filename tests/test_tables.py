@@ -191,11 +191,13 @@ def test_tail_mass_vector_dense_accuracy():
 def test_tail_mass_vector_at_fractional_column(kernel):
     # one call at j + f is the linear interpolation of the calls at the
     # bracketing integer columns, and an integer column fills no extra row
+    # beyond the kink windows of dense rows (reach rows ahead)
     tab = KernelTables(kernel, 0.25)
+    ahead = 0 if tab.banded else tab._kink_reach()
     for j in (0, 3, 12, 30):
         n = j + 1
         t_j = tab.tail_mass_vector(n, j)
-        assert tab.rows_filled == n
+        assert tab.rows_filled == n + ahead
         t_next = tab.tail_mass_vector(n, j + 1)
         for f in (0.0, 0.3, 0.999):
             got = tab.tail_mass_vector(n, j + f)
@@ -318,6 +320,35 @@ def test_cache_rejects_v3_file(tmp_path):
     assert fresh._kink_corr.size == 0
 
 
+def test_cache_rejects_v4_file(tmp_path):
+    # v4 shares the v5 layout, but its N = 2 entries came from order-48 panels
+    # on the cosine form of the chord (up to ~7e-12 off)
+    tab = KernelTables(power_tail_kernel(2, 2.8), 0.25)
+    tab.tail_mass_vector(10, 9)
+    path = str(tmp_path / "v4.nlfbkt")
+    tab.save(path)
+    with open(path, "r+b") as fh:
+        fh.write(b"NLFBKT4\x00")
+    fresh = KernelTables(power_tail_kernel(2, 2.8), 0.25)
+    assert not fresh.load(path)
+    assert fresh.rows_filled == 0
+    assert fresh._kink_corr.size == 0
+
+
+def test_dense_front_fills_each_row_once(count_rows):
+    # one j_tilde_row call per filled row after row 0 (the exact center
+    # formula), over its lower triangle; the kink windows evaluate nothing
+    k = power_tail_kernel(2, 2.8)
+    tab = KernelTables(k, 0.25)
+    cfg = RunConfig(kernel=k, d=1.0, mu=1.0, reaction=logistic(), h0=5.0, dr=0.25,
+                    t_end=10.0)
+    traj = run(cfg, tables=tab)
+    n = tab.rows_filled
+    assert n > traj.h[-1] / 0.25
+    assert count_rows["calls"] == n - 1
+    assert count_rows["entries"] == n * (n - 1) // 2
+
+
 @pytest.mark.parametrize("dim, beta, exact", [(3, 3.8, True), (2, 2.8, False)])
 def test_exact_n3_tables_do_no_angular_quadrature(dim, beta, exact, monkeypatch):
     calls = []
@@ -349,6 +380,8 @@ def test_kink_corrections_match_nested_quad(shell_quad):
 
 
 def test_kink_corrections_read_filled_rows(monkeypatch):
+    # a window reads stored entries only: rows past its end are filled as
+    # whole table rows, one angular call each, and nothing else is evaluated
     calls = []
     inner = kernels._j_tilde_panels
 
@@ -358,12 +391,16 @@ def test_kink_corrections_read_filled_rows(monkeypatch):
 
     monkeypatch.setattr(kernels, "_j_tilde_panels", counting)
     tab = KernelTables(power_tail_kernel(2, 2.8), 0.25)
+    reach = tab._kink_reach()
     tab.ensure(60, 60)
     filled = len(calls)
-    tab._kink_corrections(60 - tab._kink_reach())  # every window ends below column 60
+    assert filled == 59  # rows 1..59; row 0 is the exact center formula
+    tab._kink_corrections(60 - reach)  # every window ends below column 60
     assert len(calls) == filled
+    assert tab.rows_filled == 60
     tab._kink_corrections(60)  # the last windows reach past the filled columns
-    assert len(calls) > filled
+    assert len(calls) == filled + reach
+    assert tab.rows_filled == 60 + reach
 
 
 def test_kink_corrections_grow_row_by_row():
@@ -386,7 +423,7 @@ def test_dense_cache_restores_kink_corrections(tmp_path, count_rows):
     fresh = KernelTables(k, 0.25)
     before = count_rows["calls"]
     assert fresh.load(path)
-    assert fresh.rows_filled == 40
+    assert fresh.rows_filled == 40 + tab._kink_reach()  # the kink windows of rows < 40
     assert np.array_equal(fresh.tail_mass_vector(40, 39), tail)
     assert fresh._kink_corrections(40).tobytes() == tab._kink_corrections(40).tobytes()
     assert fresh.row_values(7, 40).tobytes() == tab.row_values(7, 40).tobytes()
