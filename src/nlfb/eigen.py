@@ -109,7 +109,11 @@ def _symmetrized(nodes, w, G, dim: int) -> np.ndarray:
 
 def lambda1(p: EigenProblem) -> EigenResult:
     """Principal eigenvalue and positive radial eigenfunction on [0, L]."""
-    nodes, w, G = _assemble(p)
+    return _principal(p, *_assemble(p))
+
+
+def _principal(p: EigenProblem, nodes, w, G) -> EigenResult:
+    """lambda1 of p from its assembled grid, weights and kernel matrix."""
     S = _symmetrized(nodes, w, G, p.tables.kernel.dim)
     n = S.shape[0]
     top, vecs = eigh(S, subset_by_index=[n - 1, n - 1])
@@ -171,11 +175,11 @@ def steady_state(L: float, d: float, reaction: Reaction,
     explicit time-marching from the constant state u_star / 2.
     """
     prob = EigenProblem(d=d, a=reaction.fprime0, L=L, tables=tables)
-    lam = lambda1(prob).lambda1
+    nodes, w, G = _assemble(prob)
+    lam = _principal(prob, nodes, w, G).lambda1
     if lam <= 0.0:
         raise SolvabilityError(
             f"no positive steady state: lambda1(L) = {lam:g} <= 0 (solution decays)")
-    nodes, w, G = _assemble(prob)
     # normalize rows by the discrete full-line kernel mass so the march
     # cannot equilibrate above u_star through quadrature bias
     m = int(np.floor(L / tables.dr + 1e-9))

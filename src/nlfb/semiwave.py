@@ -158,11 +158,11 @@ def u_star_hat(P: Marginal1D, d: float, f: Reaction) -> float:
 class _Discretization:
     """Grid quantities shared by every trial speed at fixed (M, dx)."""
 
-    def __init__(self, prob: SemiWaveProblem, ustar: float):
+    def __init__(self, prob: SemiWaveProblem, ustar: float, M: float):
         self.prob = prob
         self.ustar = ustar
         self.dx = prob.dx
-        self.n = max(int(round(prob.M / self.dx)), 50)
+        self.n = max(int(round(M / self.dx)), 50)
         self.M = self.n * self.dx
         self.x = (np.arange(self.n + 1) - self.n) * self.dx
         k = np.arange(self.n + 1) * self.dx
@@ -330,8 +330,7 @@ def solve_semiwave(prob: SemiWaveProblem) -> SemiWaveSolution:
     tol = prob.tol_tail * max(1.0, ustar)
     M = prob.M
     while True:
-        prob.M = M
-        sol = _solve_at_truncation(prob, _Discretization(prob, ustar), ustar)
+        sol = _solve_at_truncation(prob, _Discretization(prob, ustar, M), ustar)
         rise = float(np.diff(sol.phi).max())
         if rise > tol:
             raise NumericalError(

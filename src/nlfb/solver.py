@@ -10,7 +10,9 @@ with trapezoid quadrature including the partial cell [r_m, h] (the
 boundary value u(h) = 0 is exact), and T(r, h) = int_h^inf Jtilde(r, rho) d rho
 the kernel mass leaking beyond the boundary, read from the table at the
 fractional column h / dr.  The grid only grows: nodes crossed by h are
-appended with value 0, the boundary value at crossing time.
+appended with value 0, the boundary value at crossing time.  Each state
+is evaluated once: _slopes gives both slopes and the mass from one set
+of weights, _advance is the time-stepping scheme, run records the rest.
 
 The explicit scheme is stable under dt * (d + Lip f) < 0.9 because the
 nonlocal operator is bounded; under that condition the update is also
@@ -74,6 +76,13 @@ class SimState:
 
 @dataclass
 class Trajectory:
+    """One record per step: t_k, h(t_k), u(0, t_k) as u_center, max u as u_max;
+    hdot[k] is the slope of the step that ended at t_k (h' at t_{k-1}), and
+    hdot[0] = hdot[1] = h'(0); mass = |S^{N-1}| int_0^h r^{N-1} u dr, the
+    solver's trapezoid rule with the boundary cell [r_m, h].  snapshots hold
+    (t, r, u) every snapshot_stride from t = 0; meta the dt, dr, L_star and
+    early-stop verdict."""
+
     t: np.ndarray
     h: np.ndarray
     hdot: np.ndarray
@@ -86,6 +95,8 @@ class Trajectory:
 
 def initial_state(cfg: RunConfig) -> SimState:
     m = int(np.floor(cfg.h0 / cfg.dr + 1e-9))
+    if m < 1:
+        raise ValueError(f"h0 = {cfg.h0:g} < dr = {cfg.dr:g}: r = 0 alone carries no flux")
     r = np.arange(m + 1) * cfg.dr
     u = cfg.initial_profile(r)
     # the last node may lie 1e-9 * dr beyond h0, where u0 dips by ~1e-10
@@ -102,26 +113,25 @@ def _quad_weights(m: int, dr: float, h: float) -> np.ndarray:
     return w
 
 
-def _slopes(state_u: np.ndarray, h: float, cfg: RunConfig,
-            tables: KernelTables) -> tuple[np.ndarray, float]:
-    m = state_u.size - 1
+def _slopes(u: np.ndarray, h: float, cfg: RunConfig,
+            tables: KernelTables) -> tuple[np.ndarray, float, float]:
+    """du/dt, dh/dt and the mass |S^{N-1}| int_0^h r^{N-1} u dr of one state."""
+    m = u.size - 1
     dr = cfg.dr
-    tables.ensure(m + 1, m + 2)
     w = _quad_weights(m, dr, h)
-    conv = tables.conv(w * state_u)
-    dudt = cfg.d * (conv - state_u) + np.asarray(cfg.reaction(state_u))
-    r = np.arange(m + 1) * dr
-    tail = tables.tail_mass_vector(m + 1, h / dr)
+    conv = tables.conv(w * u)
+    dudt = cfg.d * (conv - u) + np.asarray(cfg.reaction(u))
     nm1 = cfg.kernel.dim - 1
-    flux = float(np.dot(w, r ** nm1 * state_u * tail))
-    hdot = cfg.mu / h ** nm1 * flux
-    return dudt, hdot
+    ru = (np.arange(m + 1) * dr) ** nm1 * u
+    tail = tables.tail_mass_vector(m + 1, h / dr)
+    flux = float(np.dot(w, ru * tail))
+    mass = unit_sphere_area(cfg.kernel.dim) * float(np.dot(w, ru))
+    return dudt, cfg.mu / h ** nm1 * flux, mass
 
 
-def step(state: SimState, cfg: RunConfig, tables: KernelTables,
-         dt: float) -> tuple[SimState, float]:
-    """One explicit step; returns (new state, hdot at the old time)."""
-    dudt, hdot = _slopes(state.u, state.h, cfg, tables)
+def _advance(state: SimState, cfg: RunConfig, tables: KernelTables, dt: float,
+             dudt: np.ndarray, hdot: float) -> SimState:
+    """The scheme, from state's slopes: Euler, clipped at 0, on the grown grid."""
     u_new = state.u + dt * dudt
     h_new = state.h + dt * hdot
     low = u_new.min()
@@ -132,14 +142,14 @@ def step(state: SimState, cfg: RunConfig, tables: KernelTables,
     m_new = int(np.floor(h_new / cfg.dr + 1e-9))
     if m_new > u_new.size - 1:
         u_new = np.concatenate((u_new, np.zeros(m_new - (u_new.size - 1))))
-    return SimState(t=state.t + dt, h=float(h_new), u=u_new), hdot
+    return SimState(t=state.t + dt, h=float(h_new), u=u_new)
 
 
-def _mass(u: np.ndarray, h: float, dr: float, dim: int) -> float:
-    m = u.size - 1
-    w = _quad_weights(m, dr, h)
-    r = np.arange(m + 1) * dr
-    return unit_sphere_area(dim) * float(np.dot(w, r ** (dim - 1) * u))
+def step(state: SimState, cfg: RunConfig, tables: KernelTables,
+         dt: float) -> tuple[SimState, float]:
+    """One explicit step; returns (new state, hdot at the old time)."""
+    dudt, hdot, _ = _slopes(state.u, state.h, cfg, tables)
+    return _advance(state, cfg, tables, dt, dudt, hdot), hdot
 
 
 def _stability_rate(cfg: RunConfig) -> float:
@@ -159,56 +169,41 @@ def run(cfg: RunConfig, tables: KernelTables | None = None,
     certain: h has reached the threshold radius (spreading is then
     guaranteed) or the vanishing heuristic has latched.
     """
+    if cfg.t_end < 0.0:
+        raise ValueError(f"t_end = {cfg.t_end:g} must be nonnegative")
     if tables is None:
         tables = KernelTables(cfg.kernel, cfg.dr)
     dt = cfg.dt if cfg.dt is not None else default_dt(cfg)
-    if dt * _stability_rate(cfg) >= 0.9:
+    if cfg.dt is not None and cfg.dt * _stability_rate(cfg) >= 0.9:
         raise NumericalError(
             "explicit stability violated: dt * (d + Lip f) must stay below 0.9")
     if early_stop and L_star is None and cfg.reaction.fprime0 < cfg.d:
         L_star = _L_star_or_inf(cfg, tables)
 
     state = initial_state(cfg)
-    rec_t, rec_h, rec_hdot, rec_u0, rec_umax, rec_mass = [], [], [], [], [], []
-    snapshots = []
-    next_snap = cfg.snapshot_stride if cfg.snapshot_stride > 0 else math.inf
-
-    def record(hdot_value: float) -> None:
-        rec_t.append(state.t)
-        rec_h.append(state.h)
-        rec_hdot.append(hdot_value)
-        rec_u0.append(float(state.u[0]))
-        rec_umax.append(float(state.u.max()))
-        rec_mass.append(_mass(state.u, state.h, cfg.dr, cfg.kernel.dim))
-
-    hdot0 = _slopes(state.u, state.h, cfg, tables)[1]
-    record(hdot0)
-    if cfg.snapshot_stride > 0:
-        snapshots.append((0.0, np.arange(state.u.size) * cfg.dr, state.u.copy()))
-
     n_steps = int(math.ceil(cfg.t_end / dt - 1e-12))
+    # columns in Trajectory field order: t, h, hdot, u_center, u_max, mass
+    rec = np.empty((n_steps + 1, 6))
+    snapshots = []
+    next_snap = 0.0 if cfg.snapshot_stride > 0 else math.inf
     stopped = None
-    for k in range(n_steps):
-        state, hdot = step(state, cfg, tables, dt)
-        record(hdot)
+    for k in range(n_steps + 1):
+        if k:
+            state = _advance(state, cfg, tables, dt, dudt, hdot)
+        dudt, hdot, mass = _slopes(state.u, state.h, cfg, tables)
+        rec[k] = state.t, state.h, hdot, state.u[0], state.u.max(), mass
         if state.t >= next_snap - 1e-12:
-            snapshots.append((state.t, np.arange(state.u.size) * cfg.dr,
-                              state.u.copy()))
+            snapshots.append((state.t, np.arange(state.u.size) * cfg.dr, state.u.copy()))
             next_snap += cfg.snapshot_stride
-        if early_stop and (k + 1) % 50 == 0:
-            verdict = _verdict(np.asarray(rec_t), np.asarray(rec_h),
-                               np.asarray(rec_umax), cfg, L_star)
+        if early_stop and k > 0 and k % 50 == 0:
+            verdict = _verdict(rec[:k + 1, 0], rec[:k + 1, 1], rec[:k + 1, 4], cfg, L_star)
             if verdict != UNDECIDED:
                 stopped = verdict
                 break
-    traj = Trajectory(
-        t=np.asarray(rec_t), h=np.asarray(rec_h), hdot=np.asarray(rec_hdot),
-        u_center=np.asarray(rec_u0), u_max=np.asarray(rec_umax),
-        mass=np.asarray(rec_mass), snapshots=snapshots,
-        meta={"dt": dt, "dr": cfg.dr, "L_star": L_star,
-              "early_verdict": stopped},
-    )
-    return traj
+    rec[1:k + 1, 2] = rec[:k, 2]  # hdot[k]: the slope of the step that ended at t_k
+    return Trajectory(*rec[:k + 1].T.copy(), snapshots=snapshots,
+                      meta={"dt": dt, "dr": cfg.dr, "L_star": L_star,
+                            "early_verdict": stopped})
 
 
 def _vanishing_window(t: np.ndarray, h: np.ndarray, u_max: np.ndarray,

@@ -4,6 +4,7 @@ import pytest
 from nlfb import (EigenProblem, KernelTables, SolvabilityError, find_L_star,
                   lambda1, lambda1_sweep, logistic, power_tail_kernel,
                   steady_state, tabulated)
+from nlfb import eigen
 from nlfb.eigen import _assemble, _symmetrized
 
 
@@ -139,6 +140,18 @@ def test_steady_state_below_u_star(tables_disc2, logistic_f):
     assert 0.9 < u.max() < 1.0 + 1e-6
     # radially nonincreasing toward the fixed boundary
     assert u[0] > u[-1]
+
+
+def test_steady_state_assembles_once(monkeypatch, tables_disc2, logistic_f):
+    calls = []
+
+    def counting(p):
+        calls.append(p.L)
+        return _assemble(p)
+
+    monkeypatch.setattr(eigen, "_assemble", counting)
+    steady_state(2.5, 2.0, logistic_f, tables_disc2)
+    assert calls == [2.5]
 
 
 def test_steady_state_positive_for_tabulated_reaction(tables_disc2):

@@ -164,7 +164,7 @@ def test_newton_profile_matches_picard(disc2, logistic_f, d, mu, c):
     # the Newton fallback of solve_profile solves the same discrete equations
     prob = SemiWaveProblem(P=marginal_from_kernel(disc2), d=d, mu=mu, f=logistic_f)
     ustar = u_star_hat(prob.P, d, logistic_f)
-    disc = _Discretization(prob, ustar)
+    disc = _Discretization(prob, ustar, prob.M)
     guess = ustar * (1.0 - np.exp(disc.x))
     picard = disc.solve_profile(c, logistic_f, guess)
     newton = disc._newton_profile(c, logistic_f, guess,
@@ -208,3 +208,15 @@ def test_reaction_label_does_not_change_c0(disc2):
     c_plain = speed_from_kernel(disc2, 1.0, 1.0, cubic("cubic"))
     assert c_named == c_plain
     assert abs(c_plain - speed_from_kernel(disc2, 1.0, 1.0, logistic())) > 1e-3
+
+
+def test_solve_leaves_the_problem_unchanged(logistic_f):
+    # the power tail needs a second, doubled window; it must not be written
+    # back into the caller's problem, so a second solve repeats the first
+    prob = SemiWaveProblem(P=marginal_from_kernel(power_tail_kernel(2, 3.5)), d=1.0,
+                           mu=1.0, f=logistic_f)
+    first = solve_semiwave(prob)
+    assert prob.M == 20.0 and first.M > prob.M
+    second = solve_semiwave(prob)
+    assert prob.M == 20.0
+    assert second.c0 == first.c0 and second.M == first.M

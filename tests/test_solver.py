@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from nlfb import (KernelTables, RunConfig, SimState, SolvabilityError,
                   SPREADING, UNDECIDED, VANISHING, classify, find_mu_star,
-                  logistic, run, step, uniform_kernel)
+                  logistic, power_tail_kernel, run, step, uniform_kernel,
+                  unit_sphere_area)
+from nlfb import solver
 from nlfb.solver import _quad_weights, default_dt, initial_state
 
 
@@ -244,6 +246,99 @@ def test_default_dt_stability_margin():
     cfg = _cfg()
     dt = default_dt(cfg)
     assert dt * (cfg.d + cfg.reaction.lipschitz(1.0)) < 0.9
+    # run steps by default_dt when cfg.dt is None
+    assert run(dataclasses.replace(cfg, t_end=0.0)).meta["dt"] == dt
+
+
+def test_h0_below_dr_is_rejected():
+    # the grid would hold only r = 0, whose weight r^{N-1} is 0: the flux and
+    # the mass vanish and the front never moves
+    cfg = _cfg(d=0.5, mu=50.0, h0=0.03, dr=0.05, t_end=20.0)
+    with pytest.raises(ValueError, match="< dr"):
+        initial_state(cfg)
+    with pytest.raises(ValueError, match="< dr"):
+        run(cfg)
+    assert initial_state(dataclasses.replace(cfg, h0=0.06)).u.size == 2
+
+
+def test_negative_t_end_is_rejected():
+    with pytest.raises(ValueError, match="t_end"):
+        run(_cfg(t_end=-1.0))
+
+
+def _step_loop(cfg, tables):
+    """run as a loop of public step calls: the records and every state."""
+    state = initial_state(cfg)
+    states, hdots = [state], []
+    for _ in range(int(math.ceil(cfg.t_end / cfg.dt - 1e-12))):
+        state, hdot = step(state, cfg, tables, cfg.dt)
+        states.append(state)
+        hdots.append(hdot)
+    # hdot[k] is the slope of the step that ended at t_k; hdot[0] = h'(0)
+    hdot = np.array(hdots[:1] + hdots)
+    return states, hdot
+
+
+@pytest.mark.parametrize("kernel, dr, h0", [(uniform_kernel(2), 0.1, 2.0),
+                                            (power_tail_kernel(2, 2.8), 0.25, 4.0)])
+def test_run_equals_a_loop_of_steps(monkeypatch, kernel, dr, h0):
+    # banded and dense tables: one slope evaluation per recorded state, and
+    # the records and snapshots of the step loop bit for bit
+    cfg = RunConfig(kernel=kernel, d=1.0, mu=2.0, reaction=logistic(), h0=h0, dr=dr,
+                    dt=0.1, t_end=6.0, snapshot_stride=1.5)
+    states, hdot = _step_loop(cfg, KernelTables(kernel, dr))
+    calls = []
+    inner = solver._slopes
+
+    def counting(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(solver, "_slopes", counting)
+    traj = run(cfg, tables=KernelTables(kernel, dr))
+    assert len(calls) == traj.t.size == len(states)
+    assert np.array_equal(traj.t, [s.t for s in states])
+    assert np.array_equal(traj.h, [s.h for s in states])
+    assert np.array_equal(traj.hdot, hdot)
+    assert traj.hdot[1] == traj.hdot[0]
+    assert np.array_equal(traj.u_center, [s.u[0] for s in states])
+    assert np.array_equal(traj.u_max, [s.u.max() for s in states])
+    # one snapshot every 15 steps of dt = 0.1, from t = 0
+    assert [t for t, _, _ in traj.snapshots] == [s.t for s in states[::15]]
+    for (t, r, u), s in zip(traj.snapshots, states[::15]):
+        assert np.array_equal(r, np.arange(s.u.size) * dr)
+        assert np.array_equal(u, s.u)
+
+
+@pytest.mark.parametrize("dim, dr", [(2, 0.05), (3, 0.1)])
+def test_mass_is_the_trapezoid_of_the_profile(dim, dr):
+    # |S^{N-1}| int_0^h r^{N-1} u dr with the boundary cell [r_m, h], u(h) = 0
+    cfg = _cfg(kernel=uniform_kernel(dim), dr=dr, h0=2.03, t_end=6.0,
+               snapshot_stride=1.0)
+    traj = run(cfg)
+    assert len(traj.snapshots) == 7
+    for t, r, u in traj.snapshots:
+        k = int(np.flatnonzero(traj.t == t)[0])
+        expect = unit_sphere_area(dim) * np.trapezoid(
+            np.append(r ** (dim - 1) * u, 0.0), np.append(r, traj.h[k]))
+        assert abs(traj.mass[k] - expect) <= 1e-13 * expect, t
+
+
+@pytest.mark.parametrize("kw", [dict(h0=0.4, u0_amplitude=0.1, mu=0.01), dict(h0=2.0)])
+def test_early_stop_is_a_prefix_of_the_full_run(tables_disc2, kw):
+    # criterion 9's vanishing run and a spreading one (h0 above L_star)
+    cfg = _cfg(dr=0.05, d=2.0, t_end=30.0, snapshot_stride=1.0, **kw)
+    short = run(cfg, tables=tables_disc2, early_stop=True)
+    full = run(cfg, tables=tables_disc2)
+    n = short.t.size
+    assert short.meta["early_verdict"] in (VANISHING, SPREADING)
+    assert full.meta["early_verdict"] is None
+    assert 1 < n < full.t.size
+    for name in ("t", "h", "hdot", "u_center", "u_max", "mass"):
+        assert np.array_equal(getattr(short, name), getattr(full, name)[:n]), name
+    assert 0 < len(short.snapshots) < len(full.snapshots)
+    for (ts, rs, us), (tf, rf, uf) in zip(short.snapshots, full.snapshots):
+        assert ts == tf and np.array_equal(rs, rf) and np.array_equal(us, uf)
 
 
 def test_initial_state_grid(disc2):
