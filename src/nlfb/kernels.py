@@ -374,7 +374,7 @@ def moment_identity_check(kernel: RadialKernel) -> tuple[float, float, float]:
 # the sphere-to-sphere kernel Jtilde
 # ---------------------------------------------------------------------------
 
-def _chord_angle(r: float, rho: np.ndarray, b: float) -> np.ndarray:
+def _chord_angle(r, rho: np.ndarray, b: float) -> np.ndarray:
     """Polar angle where the chord sqrt((r - rho)^2 + 4 r rho sin^2(t/2)) equals b.
 
     2 arcsin(sqrt((b - d)(b + d) / (4 r rho))) with d = |r - rho|: 0 for b <= d,
@@ -384,7 +384,7 @@ def _chord_angle(r: float, rho: np.ndarray, b: float) -> np.ndarray:
     return 2.0 * np.arcsin(np.sqrt(np.clip((b - d) * (b + d) / (4.0 * r * rho), 0.0, 1.0)))
 
 
-def _theta_breaks(kernel: RadialKernel, r: float, rho: np.ndarray) -> np.ndarray:
+def _theta_breaks(kernel: RadialKernel, r, rho: np.ndarray) -> np.ndarray:
     """Angular panel edges, shape (len(rho), nb + 2), sorted along axis 1.
 
     A profile breakpoint at radius b maps to _chord_angle(r, rho, b), the
@@ -395,7 +395,7 @@ def _theta_breaks(kernel: RadialKernel, r: float, rho: np.ndarray) -> np.ndarray
     return np.sort(np.stack(cols, axis=1), axis=1)
 
 
-def _fat_theta_edges(r: float, rho: np.ndarray) -> np.ndarray:
+def _fat_theta_edges(r, rho: np.ndarray) -> np.ndarray:
     """Angular edges graded toward theta = 0 for unbounded-support kernels.
 
     J(chord(theta)) peaks at theta = 0 with width theta0 = (1 + |r - rho|) /
@@ -415,7 +415,7 @@ def _fat_theta_edges(r: float, rho: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _j_tilde_panels(kernel: RadialKernel, r: float, rho: np.ndarray,
+def _j_tilde_panels(kernel: RadialKernel, r, rho: np.ndarray,
                     edges: np.ndarray, order: int) -> np.ndarray:
     # One panel at a time, over its live rows (b > a) only: in the benchmark's
     # fat_tail_front (seeds 1-3, 2-vCPU VM, order 24) all panels at once raised
@@ -448,20 +448,24 @@ def j_tilde_center(kernel: RadialKernel, rho):
     return unit_sphere_area(kernel.dim) * rho ** (kernel.dim - 1) * kernel(rho)
 
 
-def j_tilde_row(kernel: RadialKernel, r: float, rho, order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Jtilde(r, rho) for a fixed r and an array of sphere radii rho.
+def j_tilde_row(kernel: RadialKernel, r, rho, order: int = DEFAULT_ORDER) -> np.ndarray:
+    """Jtilde(r, rho) elementwise over sphere radii rho and r, a scalar or rho's shape.
 
-    order (Gauss-Legendre nodes per angular panel) is unused where Jtilde is exact.
+    A scalar r gives one table row; an array r gives any set of entries in
+    one call.  order (Gauss-Legendre nodes per angular panel) is unused where
+    Jtilde is exact.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    out = np.zeros_like(rho)
+    r = np.zeros_like(rho) + r
+    out = np.zeros(rho.shape)
     pos = rho > 0.0
-    if not np.any(pos):
+    center = pos & (r == 0.0)
+    if center.any():
+        out[center] = j_tilde_center(kernel, rho[center])
+        pos &= ~center
+    if not pos.any():
         return out
-    if r == 0.0:
-        out[pos] = j_tilde_center(kernel, rho[pos])
-        return out
-    rp = rho[pos]
+    r, rp = r[pos], rho[pos]
     if _exact_n3(kernel):
         H = kernel.tail_antiderivative
         out[pos] = 2.0 * math.pi * rp / r * (H(np.abs(r - rp)) - H(r + rp))
@@ -472,7 +476,7 @@ def j_tilde_row(kernel: RadialKernel, r: float, rho, order: int = DEFAULT_ORDER)
         if not np.any(reach):
             return out
         vals = np.zeros_like(rp)
-        rr = rp[reach]
+        r, rr = r[reach], rp[reach]
         # J = 0 beyond the support angle: the edges stop there
         edges = np.minimum(_theta_breaks(kernel, r, rr), _chord_angle(r, rr, K)[:, None])
         vals[reach] = _j_tilde_panels(kernel, r, rr, edges, order)

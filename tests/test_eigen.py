@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from nlfb import (EigenProblem, KernelTables, SolvabilityError, find_L_star,
-                  lambda1, lambda1_sweep, logistic, power_tail_kernel,
+from nlfb import (EigenProblem, KernelTables, SolvabilityError, find_L_star, j_tilde_row,
+                  kernels, lambda1, lambda1_sweep, logistic, power_tail_kernel,
                   steady_state, tabulated)
 from nlfb import eigen
-from nlfb.eigen import _assemble, _symmetrized
+from nlfb.eigen import _assemble
 
 
 def _lam(L, tables, d=1.0, a=0.5):
@@ -31,9 +33,35 @@ def problem(request):
     return EigenProblem(d=1.0, a=0.5, L=L, tables=request.getfixturevalue(name))
 
 
+def _dense_operator(p):
+    """Nodes, trapezoid weights and the dense G[i, j] = Jtilde(r_i, r_j) of p.
+
+    Grid rows come from row_values; an off-grid L gets its row from
+    j_tilde_row and its column from the symmetry identity
+    r^{N-1} Jtilde(r, rho) = rho^{N-1} Jtilde(rho, r), with the exact center
+    value at r = 0.
+    """
+    tab, k = p.tables, p.tables.kernel
+    m = int(np.floor(p.L / tab.dr + 1e-9))
+    nodes = np.arange(m + 1) * tab.dr
+    if p.L - nodes[-1] > 1e-12 * max(1.0, p.L):
+        nodes = np.append(nodes, p.L)
+    n = nodes.size
+    w = np.zeros(n)
+    w[:-1] += 0.5 * np.diff(nodes)
+    w[1:] += 0.5 * np.diff(nodes)
+    G = np.zeros((n, n))
+    G[:m + 1, :m + 1] = [tab.row_values(i, m + 1) for i in range(m + 1)]
+    if n == m + 2:
+        G[-1] = j_tilde_row(k, p.L, nodes)
+        G[1:-1, -1] = (p.L / nodes[1:-1]) ** (k.dim - 1) * G[-1, 1:-1]
+        G[0, -1] = kernels.j_tilde_center(k, p.L)
+    return nodes, w, G
+
+
 def test_lambda1_matches_general_eigensolve(problem):
     # the unsymmetrized operator d*G*diag(w) - d + a, solved without symmetry
-    _, w, G = _assemble(problem)
+    _, w, G = _dense_operator(problem)
     top = np.linalg.eigvals(problem.d * G * w[None, :]).real.max()
     assert abs(lambda1(problem).lambda1 - (top - problem.d + problem.a)) <= 1e-10
 
@@ -66,8 +94,10 @@ def test_sweep_equals_separate_solves_in_any_order(tables_disc2):
 def test_rayleigh_lower_bound(tables_disc2):
     # any test vector gives a lower bound for the top symmetric eigenvalue
     p = EigenProblem(d=1.0, a=0.5, L=3.0, tables=tables_disc2)
-    nodes, w, G = _assemble(p)
-    S = _symmetrized(nodes, w, G, 2)
+    nodes, w, G = _dense_operator(p)
+    s = np.sqrt(nodes[1:] * w[1:])  # r^{(N-1)/2} sqrt(w), N = 2
+    S = G[1:, 1:] * np.outer(s, 1.0 / s) * w[None, 1:]
+    S = 0.5 * (S + S.T)
     v = np.ones(S.shape[0])
     rayleigh = float(v @ (S @ v) / (v @ v))
     lower = p.d * rayleigh + p.a - p.d
@@ -79,6 +109,26 @@ def test_eigenfunction_positive_small_residual(problem):
     assert np.all(res.eigenfunction > 0.0)
     assert res.eigenfunction.max() == 1.0
     assert res.residual < 1e-10
+    # the residual against the dense operator, not the band product lambda1 uses
+    _, w, G = _dense_operator(problem)
+    phi, p = res.eigenfunction, problem
+    dense = p.d * (G @ (w * phi)) - p.d * phi + p.a * phi - res.lambda1 * phi
+    assert np.abs(dense).max() < 1e-10
+
+
+def test_lambda1_forms_no_dense_matrix(disc2):
+    # the band solve at L = 60 on a filled table: G alone would be 1,201^2
+    # doubles (11.5 MB)
+    tab = KernelTables(disc2, 0.05)
+    tab.ensure(1201)
+    tracemalloc.start()
+    try:
+        res = lambda1(EigenProblem(d=1.0, a=0.5, L=60.0, tables=tab))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.residual < 1e-10
+    assert peak < 3e6, peak
 
 
 def test_off_grid_endpoint_consistent(tables_disc2):

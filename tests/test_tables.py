@@ -4,8 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from nlfb import (KernelTables, RunConfig, custom_kernel, j_tilde, j_tilde_row, kernels,
-                  logistic, power_tail_kernel, run, uniform_kernel)
+from nlfb import (KernelTables, RunConfig, cosine_bump_kernel, custom_kernel, j_tilde,
+                  j_tilde_row, kernels, logistic, power_tail_kernel, run, uniform_kernel)
 from nlfb.solver import _slopes
 from nlfb.tables import FILL_ORDER, cache_dir
 
@@ -83,6 +83,56 @@ def test_dense_triangle_fill_across_growth(dim, beta, count_rows):
         direct = j_tilde_row(k, i * dr, rho, FILL_ORDER)
         got = tab.row_values(i, n)[i + 1:]
         assert np.all(np.abs(got - direct) <= 1e-13 * np.abs(direct)), i
+
+
+@pytest.mark.parametrize("kernel", [uniform_kernel(2), cosine_bump_kernel(2)],
+                         ids=["disc2", "cos2"])
+@pytest.mark.parametrize("dr", [0.1, 0.05, 0.01])
+def test_band_edge_entries_are_zero(kernel, dr):
+    # at |r - rho| = K the sphere touches the support in one point: Jtilde = 0,
+    # not the angle of a chord that rounding put an ulp inside K
+    tab = KernelTables(kernel, dr)
+    edge = round(kernel.support_radius / dr)
+    n = round(60.0 / dr) + 1
+    tab.ensure(n)
+    for i in range(1, n):
+        row = tab.row_values(i, i + edge + 1)
+        assert row[i + edge] == 0.0, (i, i + edge)
+        if i >= edge:
+            assert row[i - edge] == 0.0, (i, i - edge)
+
+
+def _assert_rows_match_single_row_fill(tab, n):
+    """Rows < n against one j_tilde_row call per row, edge columns aside."""
+    k, dr = tab.kernel, tab.dr
+    edge = round(k.support_radius / dr)
+    for i in range(n):
+        cols = np.arange(max(i - tab.bw, 0), i + tab.bw + 1)
+        keep = (np.abs(cols - i) != edge) | (i == 0)
+        ref = j_tilde_row(k, i * dr, cols * dr, FILL_ORDER)[keep]
+        got = tab.row_values(i, cols[-1] + 1)[cols][keep]
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref)), i
+
+
+@pytest.mark.parametrize("kernel", [uniform_kernel(2), uniform_kernel(3), cosine_bump_kernel(2)],
+                         ids=["disc2", "ball3", "cos2"])
+@pytest.mark.parametrize("dr", [0.05, 0.0125])
+def test_block_fill_matches_single_row_fill(tmp_path, kernel, dr):
+    # band rows filled in blocks, across capacity growths (16 -> 48 -> 200)
+    # and on top of rows loaded from a cache file
+    tab = KernelTables(kernel, dr)
+    for n in (10, 17, 200):
+        tab.ensure(n)
+    assert tab.rows_filled == 200
+    _assert_rows_match_single_row_fill(tab, 200)
+    cached = KernelTables(kernel, dr)
+    cached.ensure(30)
+    path = str(tmp_path / "t.nlfbkt")
+    cached.save(path)
+    loaded = KernelTables(kernel, dr)
+    assert loaded.load(path)
+    loaded.ensure(120)
+    _assert_rows_match_single_row_fill(loaded, 120)
 
 
 def test_row_mass_close_to_one(tables_disc2):
@@ -191,13 +241,13 @@ def test_tail_mass_vector_dense_accuracy():
 def test_tail_mass_vector_at_fractional_column(kernel):
     # one call at j + f is the linear interpolation of the calls at the
     # bracketing integer columns, and an integer column fills no extra row
-    # beyond the kink windows of dense rows (reach rows ahead)
+    # beyond the kink windows of dense rows (reach rows ahead) or the
+    # capacity of band rows (16, then 2 * 16 + 16)
     tab = KernelTables(kernel, 0.25)
-    ahead = 0 if tab.banded else tab._kink_reach()
-    for j in (0, 3, 12, 30):
+    for j, band_rows in ((0, 16), (3, 16), (12, 16), (30, 48)):
         n = j + 1
         t_j = tab.tail_mass_vector(n, j)
-        assert tab.rows_filled == n + ahead
+        assert tab.rows_filled == (band_rows if tab.banded else n + tab._kink_reach())
         t_next = tab.tail_mass_vector(n, j + 1)
         for f in (0.0, 0.3, 0.999):
             got = tab.tail_mass_vector(n, j + f)
@@ -443,9 +493,11 @@ def test_truncated_cache_leaves_table_unchanged(tmp_path, disc2, dense):
         fh.write(raw[:len(raw) // 2])
     tab = KernelTables(kernel, 0.1)
     tab.ensure(10)
+    filled = 10 if dense else 16  # a band table fills its first capacity, 16 rows
+    assert tab.rows_filled == filled
     rows = np.stack([tab.row_values(i, 10) for i in range(10)])
     assert not tab.load(path)
-    assert tab.rows_filled == 10
+    assert tab.rows_filled == filled
     assert np.array_equal(np.stack([tab.row_values(i, 10) for i in range(10)]), rows)
 
 
@@ -466,7 +518,7 @@ def test_cache_ignores_corrupt_file(tmp_path, disc2):
     assert not tab.load(path)
     assert not tab.load(str(tmp_path / "missing.nlfbkt"))
     tab.ensure(5)  # still usable after a failed load
-    assert tab.rows_filled == 5
+    assert tab.rows_filled == 16  # a band table fills its first capacity
 
 
 def test_cache_dir_env(monkeypatch, tmp_path):
