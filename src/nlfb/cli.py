@@ -165,12 +165,12 @@ def cmd_semiwave(args) -> int:
                          "(fat tail too heavy), no finite semi-wave exists\n")
         return EXIT_MODEL
     prob = swmod.SemiWaveProblem(P=swmod.marginal_from_kernel(kernel),
-                                 d=d, mu=mu, f=reaction)
-    if "dx" in cfg:
-        prob.dx = cfg["dx"]
-    if "M" in cfg:
-        prob.M = cfg["M"]
-    sol = swmod.solve_semiwave(prob)
+                                 d=d, mu=mu, f=reaction,
+                                 **{k: cfg[k] for k in ("dx", "M") if k in cfg})
+    try:
+        sol = swmod.solve_semiwave(prob)
+    except ValueError as exc:  # d, mu or dx out of range
+        raise ConfigError(str(exc)) from exc
     _json_print({"c0": sol.c0, "u_star_hat": sol.u_star_hat,
                  "residual_pde": sol.residual_pde,
                  "residual_speed": sol.residual_speed})

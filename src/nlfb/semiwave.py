@@ -16,16 +16,22 @@ Numerics: for a trial speed c the profile equation is solved by Picard
 iteration that freezes the convolution term and integrates the
 remaining first-order equation upwind from x = 0 leftward; the speed is
 then pinned by brentq on g(c) = c - c_map(c), where c_map evaluates
-the flux integral on the computed profile.  The domain truncation at
-x = -M is corrected analytically by treating phi as the constant
-u_star_hat beyond the window.  A profile that rises anywhere is not a
-semi-wave (the explicit march is unstable once dx (d - f'(u_star_hat)) / c
-exceeds 2), and neither is one that still misses the plateau at M_cap:
-both raise NumericalError.
+the flux integral on the computed profile.  The convolution runs over
+the kernel's support window only (out to its last nonzero grid sample,
+the whole grid for unbounded P), and the march steps Python floats.
+Each trial speed is solved once: brentq reuses the values of g at the
+bracket ends.  The profile at the root is solved again from the last
+one, and the residuals are reported on that profile.  The domain
+truncation at x = -M is corrected analytically by treating phi as the
+constant u_star_hat beyond the window.  A profile that rises anywhere
+is not a semi-wave (the explicit march is unstable once
+dx (d - f'(u_star_hat)) / c exceeds 2), and neither is one that still
+misses the plateau at M_cap: both raise NumericalError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -179,7 +185,11 @@ class _Discretization:
         rev = self.p_grid[::-1]
         cum = np.concatenate(([0.0], np.cumsum(0.5 * (rev[1:] + rev[:-1]) * self.dx)))
         self.ptail = cum[::-1] + rem
-        self.p_full = np.concatenate((self.p_grid[::-1], self.p_grid[1:]))
+        # the two-sided kernel out to its last nonzero sample: compact
+        # marginals reach a few dozen cells, unbounded ones the whole grid
+        self.reach = int(np.flatnonzero(self.p_grid)[-1])
+        window = self.p_grid[:self.reach + 1]
+        self.p_window = np.concatenate((window[::-1], window[1:]))
         # int_M^inf (y - M) P(y) dy: flux carried by the plateau beyond -M
         self.mom_tail = prob.P.partial_first_moment_beyond(self.M)
         self.w = np.full(self.n + 1, self.dx)
@@ -187,7 +197,8 @@ class _Discretization:
 
     def convolution(self, phi: np.ndarray) -> np.ndarray:
         """(P * phi)(x_j) over the half line, plateau-corrected."""
-        conv = np.convolve(phi, self.p_full)[self.n:2 * self.n + 1] * self.dx
+        r = self.reach
+        conv = np.convolve(phi, self.p_window)[r:r + self.n + 1] * self.dx
         # trapezoid endpoint correction at y = -M (phi(0) = 0 kills the other)
         conv -= 0.5 * self.dx * phi[0] * self.p_grid
         conv += self.ustar * self.ptail
@@ -195,20 +206,22 @@ class _Discretization:
 
     def march(self, conv: np.ndarray, c: float, f) -> np.ndarray:
         """Integrate c phi' = d phi - d conv - f(phi) leftward from phi(0)=0."""
-        d = self.prob.d
-        dx_c = self.dx / c
-        phi = np.empty(self.n + 1)
-        phi[self.n] = 0.0
+        # Python floats throughout: numpy scalars would make every step
+        # (and every f(v)) several times slower for the same IEEE products
+        d = float(self.prob.d)
+        dx_c = float(self.dx / c)
+        dconv = (d * conv).tolist()
         cap = 2.0 * self.ustar
         v = 0.0
+        phi = [0.0] * (self.n + 1)
         for j in range(self.n, 0, -1):
-            v = v - dx_c * (d * v - d * conv[j] - f(v))
+            v = v - dx_c * (d * v - dconv[j] - f(v))
             if v < 0.0:
                 v = 0.0
             elif v > cap:
                 v = cap
             phi[j - 1] = v
-        return phi
+        return np.array(phi)
 
     def solve_profile(self, c: float, f: Reaction, phi0: np.ndarray) -> np.ndarray:
         tol = TOL_PICARD * max(self.ustar, 1.0)
@@ -321,6 +334,10 @@ def solve_semiwave(prob: SemiWaveProblem) -> SemiWaveSolution:
     P = prob.P
     if float(P(0.0)) <= 0.0:
         raise SolvabilityError("P(0) must be positive")
+    # checked here, not at construction: callers may set dx and M afterwards
+    if not (prob.d > 0.0 and prob.mu > 0.0 and prob.dx > 0.0):
+        raise ValueError(f"need d, mu and dx > 0; got d = {prob.d!r}, "
+                         f"mu = {prob.mu!r}, dx = {prob.dx!r}")
     if not math.isfinite(P.moment1):
         raise SolvabilityError(
             "infinite speed: the first moment of P diverges (finite-moment "
@@ -350,6 +367,9 @@ def _solve_at_truncation(prob: SemiWaveProblem, disc: _Discretization,
                          ustar: float) -> SemiWaveSolution:
     phi = ustar * (1.0 - np.exp(disc.x))
 
+    # brentq starts by evaluating the bracket ends the search below has
+    # already solved; only the values are kept, not the profiles
+    @functools.cache
     def g(c: float) -> float:
         nonlocal phi
         phi = disc.solve_profile(c, prob.f, phi)
@@ -396,7 +416,5 @@ def speed_from_kernel(kernel: RadialKernel, d: float, mu: float, f: Reaction,
     """
     if not math.isfinite(kmod.moment_n(kernel)):
         return math.inf
-    prob = SemiWaveProblem(P=marginal_from_kernel(kernel), d=d, mu=mu, f=f)
-    if dx is not None:
-        prob.dx = dx
+    prob = SemiWaveProblem(P=marginal_from_kernel(kernel), d=d, mu=mu, f=f, dx=dx)
     return solve_semiwave(prob).c0

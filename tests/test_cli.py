@@ -68,6 +68,13 @@ def test_semiwave_infinite_speed_is_model_error(tmp_path, capsys):
     assert "infinite speed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["mu = -1", "d = 0", "dx = 0"])
+def test_semiwave_bad_parameter_is_config_error(tmp_path, capsys, line):
+    path = _cfg(tmp_path, f"kernel.kind = uniform\nN = 2\n{line}\n")
+    assert dispatch(["semiwave", "--config", path]) == EXIT_CONFIG
+    assert "need d, mu and dx > 0" in capsys.readouterr().err
+
+
 def test_semiwave_disc_speed_and_profile(tmp_path, capsys):
     path = _cfg(tmp_path, "kernel.kind = uniform\nN = 2\n")
     csv = str(tmp_path / "profile.csv")

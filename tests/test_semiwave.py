@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from nlfb import (Marginal1D, NumericalError, SemiWaveProblem, SolvabilityError,
-                  Reaction, logistic, marginal_from_kernel, power_tail_kernel, solve_semiwave,
-                  speed_from_kernel, uniform_kernel)
+                  Reaction, cosine_bump_kernel, logistic, marginal_from_kernel,
+                  power_tail_kernel, solve_semiwave, speed_from_kernel, tabulated,
+                  uniform_kernel)
 from nlfb import semiwave
 from nlfb.semiwave import _Discretization, u_star_hat
 
@@ -220,3 +221,111 @@ def test_solve_leaves_the_problem_unchanged(logistic_f):
     second = solve_semiwave(prob)
     assert prob.M == 20.0
     assert second.c0 == first.c0 and second.M == first.M
+
+
+def _discretization(P, f):
+    prob = SemiWaveProblem(P=P, d=1.0, mu=1.0, f=f)
+    return _Discretization(prob, u_star_hat(P, 1.0, f), prob.M)
+
+
+def _reference_march(disc, conv, c, f):
+    # the march stepped with numpy scalars read from conv, one at a time
+    d = disc.prob.d
+    dx_c = disc.dx / c
+    phi = np.empty(disc.n + 1)
+    phi[disc.n] = 0.0
+    cap = 2.0 * disc.ustar
+    v = 0.0
+    for j in range(disc.n, 0, -1):
+        v = v - dx_c * (d * v - d * conv[j] - f(v))
+        if v < 0.0:
+            v = 0.0
+        elif v > cap:
+            v = cap
+        phi[j - 1] = v
+    return phi
+
+
+_TABULATED = tabulated([0.0, 0.25, 0.5, 1.0, 1.5, 3.0], [0.0, 0.2, 0.25, 0.0, -0.75, -6.0])
+
+
+@pytest.mark.parametrize("kernel", [uniform_kernel(2), uniform_kernel(3),
+                                    cosine_bump_kernel(2)], ids=lambda k: k.label)
+@pytest.mark.parametrize("f", [logistic(), _TABULATED], ids=lambda f: f.label)
+def test_march_matches_the_numpy_scalar_reference(kernel, f):
+    disc = _discretization(marginal_from_kernel(kernel), f)
+    conv = disc.convolution(disc.ustar * (1.0 - np.exp(disc.x)))
+    clipped = False
+    for c in (0.005, 0.05, 0.108, np.float64(0.3), 2.0):
+        ref = _reference_march(disc, conv, c, f.f)
+        assert np.array_equal(disc.march(conv, c, f.f), ref), c
+        clipped |= bool((ref[:-1] == 0.0).any() and (ref == 2.0 * disc.ustar).any())
+    assert clipped  # c = 0.005 oscillates into both clips
+
+
+def _full_grid_convolution(disc, phi):
+    # (P * phi) with the whole two-sided grid as the kernel window
+    n, dx = disc.n, disc.dx
+    p_full = np.concatenate((disc.p_grid[::-1], disc.p_grid[1:]))
+    conv = np.convolve(phi, p_full)[n:2 * n + 1] * dx
+    conv -= 0.5 * dx * phi[0] * disc.p_grid
+    return conv + disc.ustar * disc.ptail
+
+
+def _random_profile(disc, rng):
+    phi = disc.ustar * rng.uniform(0.0, 1.0, disc.n + 1)
+    phi[-1] = 0.0
+    return phi
+
+
+@pytest.mark.parametrize("P", [marginal_from_kernel(uniform_kernel(2)),
+                               marginal_from_kernel(uniform_kernel(3)),
+                               marginal_from_kernel(cosine_bump_kernel(2)),
+                               marginal_from_kernel(cosine_bump_kernel(3)),
+                               _unit_bump()], ids=lambda P: P.label)
+def test_convolution_over_the_support_matches_the_full_grid(P, logistic_f, rng):
+    disc = _discretization(P, logistic_f)
+    assert disc.reach < disc.n // 10  # the window is the support, not the grid
+    for _ in range(3):
+        phi = _random_profile(disc, rng)
+        ref = _full_grid_convolution(disc, phi)
+        assert np.abs(disc.convolution(phi) - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_convolution_of_an_unbounded_marginal_is_the_full_grid(logistic_f, rng):
+    disc = _discretization(marginal_from_kernel(power_tail_kernel(2, 3.5)), logistic_f)
+    assert disc.reach == disc.n
+    phi = _random_profile(disc, rng)
+    assert np.array_equal(disc.convolution(phi), _full_grid_convolution(disc, phi))
+
+
+def test_each_trial_speed_is_solved_once(monkeypatch, disc2, logistic_f):
+    speeds = []
+    inner = _Discretization.solve_profile
+
+    def recording(self, c, f, phi0):
+        speeds.append(c)
+        return inner(self, c, f, phi0)
+
+    monkeypatch.setattr(_Discretization, "solve_profile", recording)
+    c0 = speed_from_kernel(disc2, 1.0, 1.0, logistic_f)
+    # the final solve at c0 repeats brentq's last speed on purpose: it
+    # re-solves from the last profile for the reported residuals
+    assert len(set(speeds[:-1])) == len(speeds) - 1
+    assert speeds[-1] == c0
+
+
+@pytest.mark.parametrize("d, mu, dx", [(1.0, -1.0, None), (1.0, 0.0, None),
+                                       (0.0, 1.0, None), (-1.0, 1.0, None),
+                                       (1.0, 1.0, 0.0), (1.0, 1.0, -0.02),
+                                       (1.0, math.nan, None)])
+def test_invalid_inputs_are_rejected_before_solving(disc2, logistic_f, d, mu, dx):
+    with pytest.raises(ValueError, match="need d, mu and dx > 0"):
+        speed_from_kernel(disc2, d, mu, logistic_f, dx=dx)
+
+
+def test_dx_set_after_construction_is_checked(disc2, logistic_f):
+    prob = SemiWaveProblem(P=marginal_from_kernel(disc2), d=1.0, mu=1.0, f=logistic_f)
+    prob.dx = 0.0
+    with pytest.raises(ValueError, match="dx = 0.0"):
+        solve_semiwave(prob)
