@@ -160,6 +160,10 @@ def cmd_semiwave(args) -> int:
     kernel = cfgmod.kernel_from_config(cfg)
     reaction = cfgmod.reaction_from_config(cfg)
     d, mu = cfg.get("d", 1.0), cfg.get("mu", 1.0)
+    try:
+        swmod.require_positive(d, mu, cfg.get("dx"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if not math.isfinite(kmod.moment_n(kernel)):
         sys.stderr.write("infinite speed: the kernel moment condition fails "
                          "(fat tail too heavy), no finite semi-wave exists\n")
@@ -167,10 +171,7 @@ def cmd_semiwave(args) -> int:
     prob = swmod.SemiWaveProblem(P=swmod.marginal_from_kernel(kernel),
                                  d=d, mu=mu, f=reaction,
                                  **{k: cfg[k] for k in ("dx", "M") if k in cfg})
-    try:
-        sol = swmod.solve_semiwave(prob)
-    except ValueError as exc:  # d, mu or dx out of range
-        raise ConfigError(str(exc)) from exc
+    sol = swmod.solve_semiwave(prob)
     _json_print({"c0": sol.c0, "u_star_hat": sol.u_star_hat,
                  "residual_pde": sol.residual_pde,
                  "residual_speed": sol.residual_speed})

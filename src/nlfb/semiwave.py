@@ -329,15 +329,19 @@ class _Discretization:
         return float(np.abs(res).max())
 
 
+def require_positive(d: float, mu: float, dx: float | None = None) -> None:
+    """Raise ValueError unless d, mu and dx (when given) are > 0; NaN fails too."""
+    if not (d > 0.0 and mu > 0.0 and (dx is None or dx > 0.0)):
+        raise ValueError(f"need d, mu and dx > 0; got d = {d!r}, mu = {mu!r}, dx = {dx!r}")
+
+
 def solve_semiwave(prob: SemiWaveProblem) -> SemiWaveSolution:
     """Solve for (c0, phi0); raises SolvabilityError on infinite speed."""
     P = prob.P
     if float(P(0.0)) <= 0.0:
         raise SolvabilityError("P(0) must be positive")
     # checked here, not at construction: callers may set dx and M afterwards
-    if not (prob.d > 0.0 and prob.mu > 0.0 and prob.dx > 0.0):
-        raise ValueError(f"need d, mu and dx > 0; got d = {prob.d!r}, "
-                         f"mu = {prob.mu!r}, dx = {prob.dx!r}")
+    require_positive(prob.d, prob.mu, prob.dx)
     if not math.isfinite(P.moment1):
         raise SolvabilityError(
             "infinite speed: the first moment of P diverges (finite-moment "
@@ -412,8 +416,9 @@ def speed_from_kernel(kernel: RadialKernel, d: float, mu: float, f: Reaction,
 
     The speed is finite exactly when the N-th moment of the radial
     kernel is finite (fat tails need beta > N + 1); the infinite case is
-    reported as math.inf rather than an error.
+    reported as math.inf rather than an error; bad d, mu or dx raise first.
     """
+    require_positive(d, mu, dx)
     if not math.isfinite(kmod.moment_n(kernel)):
         return math.inf
     prob = SemiWaveProblem(P=marginal_from_kernel(kernel), d=d, mu=mu, f=f, dx=dx)

@@ -8,19 +8,20 @@ rows_filled.  Rows are filled on demand.  A band table fills up to the
 capacity its storage grows to (2 * capacity + 16 rows, at least the rows
 asked for), so a caller that asks one row at a time still fills in
 batches, and it evaluates about FILL_BLOCK entries per kernel call.  A
-dense table fills exactly the square block asked for, one kernel call
-per row.
+dense table fills the square block asked for in whole blocks of
+DENSE_BLOCK rows.
 
-A new dense row i gets only its lower triangle j <= i by quadrature;
-row 0 is the exact center formula, and the upper triangle is mirrored
-through the symmetry identity
+A new dense row i gets only its lower triangle j <= i; row 0 is the exact
+center formula, and the upper triangle is mirrored through the symmetry
+identity
 
     r^{N-1} Jtilde(r, rho) = rho^{N-1} Jtilde(rho, r),
 
 so growing the table copies the filled block and never evaluates old
-rows again.  Dense tables fill _kink_reach() rows ahead of the rows the
-solver reads: the kink window of row i reaches column i + reach, and
-every entry it reads is a stored one.
+rows again.  Power tails interpolate the far field (_fill_dense).  Dense
+tables fill _kink_reach() rows ahead of the rows the solver reads: the
+kink window of row i reaches column i + reach, and every entry it reads
+is a stored one.
 
 The solver reads a table through conv (the quadrature of Jtilde * u)
 and tail_mass_vector (the tail masses beyond a boundary between columns).
@@ -28,16 +29,17 @@ A band row gets its mass and tail row once, when it is filled or loaded,
 so a step only reads: conv uses windows of one persistent zero-padded
 buffer, and tail_mass_vector gathers two columns of <= 2*bw tail rows.
 
-A table can be persisted to a small binary cache file (format v5): a
+A table can be persisted to a small binary cache file (format v6): a
 header naming the kernel, grid and block shape, the stored block row
 by row (band rows of width 2*bw + 1, or dense rows over the columns
-below rows_filled), then the dense kink corrections.  save() writes a
-temporary file and renames it into place; load() validates the whole
-file before adopting anything.  v3 to v5 keep the v2 layout under new
-tags, so stale numbers are not reused: v2 N = 3 rows came from angular
-quadrature (~1e-13 off exact), v3 kink corrections from a graded
-angular rule (up to ~4e-10 off), and v4 angular entries from order-48
-panels on the cosine form of the chord (up to ~7e-12 off).
+below rows_filled, a multiple of DENSE_BLOCK), then the dense kink
+corrections.  save() writes a temporary file and renames it into place;
+load() validates the whole file before adopting anything.  v3 to v6 keep
+the v2 layout under new tags, so stale numbers are not reused: v2 N = 3
+rows came from angular quadrature (~1e-13 off exact), v3 kink
+corrections from a graded angular rule (up to ~4e-10 off), v4 angular
+entries from order-48 panels on the cosine form of the chord (up to
+~7e-12 off), and v5 dense files hold any number of rows.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import numpy as np
 from . import kernels as kmod
 from .kernels import RadialKernel
 
-MAGIC = b"NLFBKT5\x00"
+MAGIC = b"NLFBKT6\x00"
 #: dim, dr, kernel hash, rows, banded flag, stored row width, kink corrections
 _HEADER = struct.Struct("<id16siiii")
 #: Gauss-Legendre order per angular panel when sampling table entries by
@@ -66,14 +68,34 @@ FILL_ORDER = 24
 #: scratch arrays to the peak memory (fat_tail_front fronts: +0.1 MB at 32
 #: rows, +0.6 MB at 64, +3.5 MB for blocks growing by 1.5x)
 WINDOW_BLOCK = 32
-#: band entries per j_tilde_row call when filling band rows.  One call per row
-#: pays the call's fixed cost for ~40 entries: 1,201 disc rows at dr = 0.05 fill
-#: in 0.12 s one row per call and in 0.033 s in blocks.  Larger blocks add the
-#: quadrature's scratch arrays (24 nodes per entry) to the peak memory: the disc
-#: and ball fronts of compact_front with their h'(0) set-ups at dr = 0.0125 peak
-#: at 80.2 MB one row per call, 80.4-80.6 MB at 1,024 entries, 86.8 MB at 8,192
-#: and 95.6 MB at 65,536; at 256 entries they run 30 % slower than at 1,024
+#: entries per j_tilde_row call when filling band rows and dense blocks.  One
+#: call per band row pays the fixed cost for ~40 entries: 1,201 disc rows at dr =
+#: 0.05 fill in 0.12 s one row per call and in 0.033 s in blocks.  Larger blocks
+#: add the quadrature's scratch (24 nodes per entry) to the peak memory: the
+#: compact_front fronts with h'(0) set-ups at dr = 0.0125 peak at 80.2 MB one row
+#: per call, 80.4-80.6 MB at 1,024 entries and 95.6 MB at 65,536 (256 run 30 %
+#: slower); whole dense blocks per call raised fat_tail_front's by 1.7 MB
 FILL_BLOCK = 1024
+#: dense rows per fill block; a dense table fills and stores whole blocks
+DENSE_BLOCK = 32
+#: Chebyshev points per direction of a far span's interpolant of log g: at 20,
+#: beta = 8 spans reaching column 0 are 1e-12 off, at 24 all within 3.7e-14
+P_CHEB = 24
+#: a column span is far when its gap to the row block is >= ETA times its width
+ETA = 1
+#: first-kind Chebyshev points on [-1, 1] and their barycentric weights
+_CHEB_X = np.cos(np.pi * (np.arange(P_CHEB) + 0.5) / P_CHEB)
+_CHEB_W = (-1.0) ** np.arange(P_CHEB) * np.sin(np.pi * (np.arange(P_CHEB) + 0.5) / P_CHEB)
+
+
+def _cheb_basis(width: int) -> np.ndarray:
+    """(width, P_CHEB) barycentric interpolation from _CHEB_X to width equispaced points.
+
+    Sums of Chebyshev polynomials were off by up to 1.4e-14.  No point is a
+    node (checked for all widths that are multiples of 32 up to 200,000).
+    """
+    q = _CHEB_W / (np.linspace(-1.0, 1.0, width)[:, None] - _CHEB_X)
+    return q / q.sum(axis=1, keepdims=True)
 
 
 def cache_dir() -> str:
@@ -164,22 +186,57 @@ class KernelTables:
                                          0.0, 1.0)
         self._rows_filled = stop
 
-    def _fill_dense(self, start: int, stop: int) -> None:
-        """Rows and columns start..stop-1 of the dense block."""
-        data, dr, nm1 = self._data, self.dr, self.kernel.dim - 1
-        data[0, start:stop] = kmod.j_tilde_center(self.kernel, np.arange(start, stop) * dr)
-        for i in range(max(start, 1), stop):
-            j = np.arange(1, i + 1)
-            data[i, 1:i + 1] = kmod.j_tilde_row(self.kernel, i * dr, j * dr, FILL_ORDER)
-            # column i above the diagonal: r_j^{N-1} Jt(r_j, r_i) = r_i^{N-1} Jt(r_i, r_j)
-            data[1:i, i] = data[i, 1:i] * (i / j[:-1]) ** nm1
+    def _fill_dense(self, b0: int) -> None:
+        """Rows b0..b0+DENSE_BLOCK-1 of the dense block, and the same columns.
+
+        The lower triangle from column b0 - DENSE_BLOCK on is sampled by
+        quadrature.  Further left, a power tail's columns split into far spans,
+        each as wide as its gap to the block allows (gap >= ETA * width), so
+        widths double toward column 0 and stay multiples of DENSE_BLOCK >
+        P_CHEB.  A span is interpolated from log g, g = Jtilde / rho^{N-1}, on
+        its P_CHEB x P_CHEB Chebyshev grid: g is analytic away from r = rho,
+        and the exponential keeps entries positive.
+        """
+        data, dr, kernel = self._data, self.dr, self.kernel
+        nm1, b1 = kernel.dim - 1, b0 + DENSE_BLOCK
+        data[0, b0:b1] = kmod.j_tilde_center(kernel, np.arange(b0, b1) * dr)
+        # custom profiles may have kinks, and exact N = 3 entries are cheap
+        interpolated = (kernel.kind == kmod.FAT_TAIL and not kernel.breakpoints
+                        and not kmod._exact_n3(kernel))
+        far, hi = [], b0 - DENSE_BLOCK if interpolated else 0
+        while hi > 0:
+            far.append((max(hi - (b0 - hi) // ETA, 0), hi))
+            hi = far[-1][0]
+        i = np.arange(max(b0, 1), b1)[:, None]
+        j = np.arange(far[0][1] if far else 1, b1)
+        ii, jj = np.nonzero(j <= i)
+        ii, jj = ii + i[0, 0], jj + j[0]
+        nodes = [lo + 0.5 * (hi - 1 - lo) * (_CHEB_X + 1.0) for lo, hi in [(b0, b1), *far]]
+        r, rho = np.broadcast_arrays(nodes[0][:, None],
+                                     np.reshape(nodes[1:], (len(far), 1, P_CHEB)))
+        r_all, rho_all = (np.concatenate((a, b.ravel())) * dr for a, b in ((ii, r), (jj, rho)))
+        vals = np.concatenate([
+            kmod.j_tilde_row(kernel, r_all[s:s + FILL_BLOCK], rho_all[s:s + FILL_BLOCK], FILL_ORDER)
+            for s in range(0, r_all.size, FILL_BLOCK)])
+        data[ii, jj] = vals[:ii.size]
+        g = (vals[ii.size:] / rho_all[ii.size:] ** nm1).reshape(r.shape)
+        rows = _cheb_basis(DENSE_BLOCK)
+        for (lo, hi), span in zip(far, g):
+            # log(g / g_mid) is of order one: its rounding does not grow with |log g|
+            g0 = span[P_CHEB // 2, P_CHEB // 2]
+            data[b0:b1, lo:hi] = (np.exp(rows @ np.log(span / g0) @ _cheb_basis(hi - lo).T)
+                                  * (g0 * (np.arange(lo, hi) * dr) ** nm1))
+        # the upper triangle: r_j^{N-1} Jt(r_j, r_i) = r_i^{N-1} Jt(r_i, r_j)
+        j = np.arange(1, b1)
+        up = j[:, None] < i.T
+        data[1:b1, i[0, 0]:b1][up] = (data[i[:, 0], 1:b1] * (i / j) ** nm1).T[up]
 
     def ensure(self, n_rows: int, n_cols: int | None = None) -> None:
         """Fill rows 0..n_rows-1 (and, for dense tables, columns 0..n_cols-1).
 
         A band table fills up to its capacity, growing it to
-        max(n_rows, 2 * capacity + 16) when n_rows exceeds it.  A dense
-        table fills the square block of max(n_rows, n_cols) rows and columns.
+        max(n_rows, 2 * capacity + 16) when n_rows exceeds it.  A dense table
+        fills the square block of max(n_rows, n_cols) rows in whole DENSE_BLOCKs.
         """
         if self.banded:
             if n_rows > self._rows_filled:
@@ -192,13 +249,15 @@ class KernelTables:
         filled = self._rows_filled
         if n <= filled:
             return
+        n = -(-n // DENSE_BLOCK) * DENSE_BLOCK
         if n > self._cap:
-            new_cap = max(n, int(1.5 * self._cap) + 16)
+            new_cap = -(-max(n, int(1.5 * self._cap) + 16) // DENSE_BLOCK) * DENSE_BLOCK
             grown = np.zeros((new_cap, new_cap))
             grown[:filled, :filled] = self._data[:filled, :filled]
             self._data = grown
             self._cap = new_cap
-        self._fill_dense(filled, n)
+        for b0 in range(filled, n, DENSE_BLOCK):
+            self._fill_dense(b0)
         self._rows_filled = n
 
     @property
@@ -296,8 +355,12 @@ class KernelTables:
                                    (ahead + reach) * dr)
             self._window_mass = np.concatenate((self._window_mass, mass))
         done = self._kink_corr.size
-        trap = [np.trapezoid(self._data[i, max(0, i - reach):i + reach + 1], dx=dr)
-                for i in range(done, n)]
+        rows = np.arange(done, n)[:, None]
+        cols = rows + np.arange(-reach, reach + 1)
+        # trapezoid weights over each window [max(0, i - reach), i + reach]
+        w = np.where(cols >= 0, dr, 0.0)
+        w[(cols == np.maximum(rows - reach, 0)) | (cols == rows + reach)] = 0.5 * dr
+        trap = np.einsum("ij,ij->i", self._data[rows, np.maximum(cols, 0)], w)
         self._kink_corr = np.concatenate((self._kink_corr, self._window_mass[done:n] - trap))
         return self._kink_corr[:n]
 
@@ -402,6 +465,7 @@ class KernelTables:
                 or khash != self.kernel.hash().encode()
                 or bool(banded) != self.banded
                 or nrows < 0 or ncorr < 0 or width != self._row_width(nrows)
+                or (not self.banded and nrows % DENSE_BLOCK)
                 or len(raw) != head + 8 * (nrows * width + ncorr)):
             return None
         vals = np.frombuffer(raw, dtype="<f8", offset=head).astype(float)

@@ -75,6 +75,14 @@ def test_semiwave_bad_parameter_is_config_error(tmp_path, capsys, line):
     assert "need d, mu and dx > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["mu = -1", "dx = 0"])
+def test_semiwave_bad_parameter_beats_infinite_speed(tmp_path, capsys, line):
+    # a divergent moment (exit 1) is reported only for valid parameters
+    path = _cfg(tmp_path, f"kernel.kind = fat_tail\nkernel.beta = 2.5\nN = 2\n{line}\n")
+    assert dispatch(["semiwave", "--config", path]) == EXIT_CONFIG
+    assert "need d, mu and dx > 0" in capsys.readouterr().err
+
+
 def test_semiwave_disc_speed_and_profile(tmp_path, capsys):
     path = _cfg(tmp_path, "kernel.kind = uniform\nN = 2\n")
     csv = str(tmp_path / "profile.csv")

@@ -324,6 +324,13 @@ def test_invalid_inputs_are_rejected_before_solving(disc2, logistic_f, d, mu, dx
         speed_from_kernel(disc2, d, mu, logistic_f, dx=dx)
 
 
+@pytest.mark.parametrize("d, mu, dx", [(1.0, -1.0, None), (0.0, 1.0, -1.0), (1.0, 1.0, 0.0)])
+def test_invalid_inputs_are_rejected_before_the_moment_test(logistic_f, d, mu, dx):
+    # the divergent moment would return inf; the inputs are checked first
+    with pytest.raises(ValueError, match="need d, mu and dx > 0"):
+        speed_from_kernel(power_tail_kernel(2, 2.5), d, mu, logistic_f, dx=dx)
+
+
 def test_dx_set_after_construction_is_checked(disc2, logistic_f):
     prob = SemiWaveProblem(P=marginal_from_kernel(disc2), d=1.0, mu=1.0, f=logistic_f)
     prob.dx = 0.0

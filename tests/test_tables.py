@@ -7,7 +7,7 @@ import pytest
 from nlfb import (KernelTables, RunConfig, cosine_bump_kernel, custom_kernel, j_tilde,
                   j_tilde_row, kernels, logistic, power_tail_kernel, run, uniform_kernel)
 from nlfb.solver import _slopes
-from nlfb.tables import FILL_ORDER, cache_dir
+from nlfb.tables import _HEADER, FILL_ORDER, MAGIC, cache_dir
 
 
 @pytest.fixture()
@@ -66,11 +66,17 @@ def test_dense_triangle_fill_across_growth(dim, beta, count_rows):
     k = power_tail_kernel(dim, beta)
     dr = 0.25
     tab = KernelTables(k, dr)
-    for n in (4, 17, 40, 90):  # 4 -> 17 and 40 -> 90 grow the capacity
+    # whole 32-row blocks: 4 -> 32 rows, 17 reads them, 40 -> 64 and 90 -> 96
+    # grow the capacity to 32, 64 and max(96, 1.5 * 64 + 16) rounded up, 128
+    for n, rows, cap in ((4, 32, 32), (17, 32, 32), (40, 64, 64), (90, 96, 128)):
         tab.ensure(n, n)
-        assert tab.rows_filled == n
+        assert (tab.rows_filled, tab._cap) == (rows, cap)
     n = 90
-    assert count_rows["entries"] <= n * (n + 1) // 2 + n
+    # the lower triangle of rows 1..95, no entry twice (exact N = 3), or its
+    # near part: rows 1..31 (496 entries) and 32..63 (1,520) in full, and of
+    # rows 64..95 the 1,552 entries from column 32 on plus 24 x 24 samples of
+    # the far span of columns 0..31 (N = 2)
+    assert count_rows["entries"] == (4560 if dim == 3 else 496 + 1520 + 1552 + 576)
     pairs = [(0, 3), (0, 50), (0, 89), (3, 0), (60, 0), (2, 85), (85, 2),
              (16, 17), (17, 16), (39, 41), (41, 39), (10, 10), (89, 89),
              (30, 70), (70, 30)]
@@ -83,6 +89,55 @@ def test_dense_triangle_fill_across_growth(dim, beta, count_rows):
         direct = j_tilde_row(k, i * dr, rho, FILL_ORDER)
         got = tab.row_values(i, n)[i + 1:]
         assert np.all(np.abs(got - direct) <= 1e-13 * np.abs(direct)), i
+
+
+@pytest.mark.parametrize("dr", [0.1, 0.25, 1.0])
+@pytest.mark.parametrize("dim, beta", [(2, 2.05), (2, 2.3), (2, 2.8), (2, 3.5), (2, 5.0),
+                                       (2, 8.0), (4, 4.5)])
+def test_dense_fill_matches_direct_quadrature(dim, beta, dr):
+    # far spans are interpolated in log space; 512 rows hold every kind of
+    # span: beside the near columns, between, and the widest (256 columns),
+    # which reaches column 0.  1,024-row tables stay within 3.7e-14.
+    k = power_tail_kernel(dim, beta)
+    n = 512
+    tab = KernelTables(k, dr)
+    tab.ensure(n)
+    block = np.stack([tab.row_values(i, n) for i in range(n)])
+    i, j = np.tril_indices(n)
+    direct = np.concatenate([j_tilde_row(k, i[s] * dr, j[s] * dr, FILL_ORDER)
+                             for s in np.array_split(np.arange(i.size), 32)])
+    assert np.all(np.abs(block[i, j] - direct) <= 1e-13 * direct)
+    # the upper triangle against the lower one's direct values, and row 0
+    up = j > 0
+    mirrored = direct[up] * (i[up] / j[up]) ** (dim - 1)
+    assert np.all(np.abs(block[j[up], i[up]] - mirrored) <= 1e-13 * mirrored)
+    assert np.array_equal(block[0], j_tilde_row(k, 0.0, np.arange(n) * dr))
+
+
+def test_dense_fill_samples_under_40_percent_of_the_triangle(count_rows):
+    # 512 rows: 23,744 near entries and 45 far spans of 24 x 24 samples
+    n = 512
+    KernelTables(power_tail_kernel(2, 2.8), 0.25).ensure(n)
+    assert count_rows["entries"] == 49664 <= 0.4 * n * (n - 1) / 2
+
+
+@pytest.mark.parametrize("breakpoints", [(), (1.0,)])
+def test_custom_fat_tail_fills_by_quadrature(breakpoints, count_rows):
+    # a custom profile may have kinks: no span is interpolated, and every
+    # entry of the lower triangle is sampled once (the grouping of entries
+    # into calls may move the last bit)
+    def profile(r):
+        return 0.1 / np.maximum(1.0, r) ** 3 if breakpoints else 0.1 * (1.0 + r) ** -3.0
+
+    k = custom_kernel(profile, 2, breakpoints=breakpoints)
+    dr, n = 0.25, 96
+    tab = KernelTables(k, dr)
+    tab.ensure(n)
+    assert count_rows["entries"] == n * (n - 1) // 2
+    for i in range(1, n):
+        direct = j_tilde_row(k, i * dr, np.arange(1, i + 1) * dr, FILL_ORDER)
+        got = tab.row_values(i, i + 1)[1:]
+        assert np.all(np.abs(got - direct) <= 1e-15 * direct), i
 
 
 @pytest.mark.parametrize("kernel", [uniform_kernel(2), cosine_bump_kernel(2)],
@@ -241,13 +296,13 @@ def test_tail_mass_vector_dense_accuracy():
 def test_tail_mass_vector_at_fractional_column(kernel):
     # one call at j + f is the linear interpolation of the calls at the
     # bracketing integer columns, and an integer column fills no extra row
-    # beyond the kink windows of dense rows (reach rows ahead) or the
-    # capacity of band rows (16, then 2 * 16 + 16)
+    # beyond the 32-row block holding the kink windows of dense rows (reach
+    # = 8 rows ahead) or the capacity of band rows (16, then 2 * 16 + 16)
     tab = KernelTables(kernel, 0.25)
-    for j, band_rows in ((0, 16), (3, 16), (12, 16), (30, 48)):
+    for j, band_rows, dense_rows in ((0, 16, 32), (3, 16, 32), (12, 16, 32), (30, 48, 64)):
         n = j + 1
         t_j = tab.tail_mass_vector(n, j)
-        assert tab.rows_filled == (band_rows if tab.banded else n + tab._kink_reach())
+        assert tab.rows_filled == (band_rows if tab.banded else dense_rows)
         t_next = tab.tail_mass_vector(n, j + 1)
         for f in (0.0, 0.3, 0.999):
             got = tab.tail_mass_vector(n, j + f)
@@ -385,18 +440,52 @@ def test_cache_rejects_v4_file(tmp_path):
     assert fresh._kink_corr.size == 0
 
 
+def test_cache_rejects_v5_file(tmp_path):
+    # v5 shares the v6 layout, but its dense files hold any number of rows
+    tab = KernelTables(power_tail_kernel(2, 2.8), 0.25)
+    tab.ensure(64)
+    path = str(tmp_path / "v5.nlfbkt")
+    tab.save(path)
+    with open(path, "r+b") as fh:
+        fh.write(b"NLFBKT5\x00")
+    fresh = KernelTables(power_tail_kernel(2, 2.8), 0.25)
+    assert not fresh.load(path)
+    assert fresh.rows_filled == 0
+
+
+def test_cache_rejects_dense_rows_off_the_block(tmp_path):
+    # a dense file holds whole 32-row blocks; 40 rows are refused
+    k = power_tail_kernel(2, 2.8)
+    tab = KernelTables(k, 0.25)
+    tab.ensure(64)
+    path = str(tmp_path / "t.nlfbkt")
+    with open(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(_HEADER.pack(2, 0.25, k.hash().encode(), 40, 0, 40, 0))
+        fh.write(np.stack([tab.row_values(i, 40) for i in range(40)]).astype("<f8").tobytes())
+    fresh = KernelTables(k, 0.25)
+    assert not fresh.load(path)
+    assert fresh.rows_filled == 0
+    tab.save(path)
+    assert fresh.load(path)
+    assert fresh.rows_filled == 64
+
+
 def test_dense_front_fills_each_row_once(count_rows):
-    # one j_tilde_row call per filled row after row 0 (the exact center
-    # formula), over its lower triangle; the kink windows evaluate nothing
+    # the front reaches h = 41 dr, so with the kink windows it reads two
+    # 32-row blocks: rows 1..31 (row 0 is the exact center formula) and
+    # 32..63 over their whole lower triangles, no entry twice, 496 and 1,520
+    # entries in 1 and 2 calls of at most FILL_BLOCK = 1,024; the kink
+    # windows evaluate nothing
     k = power_tail_kernel(2, 2.8)
     tab = KernelTables(k, 0.25)
     cfg = RunConfig(kernel=k, d=1.0, mu=1.0, reaction=logistic(), h0=5.0, dr=0.25,
                     t_end=10.0)
     traj = run(cfg, tables=tab)
     n = tab.rows_filled
-    assert n > traj.h[-1] / 0.25
-    assert count_rows["calls"] == n - 1
-    assert count_rows["entries"] == n * (n - 1) // 2
+    assert n == 64 > traj.h[-1] / 0.25
+    assert count_rows["calls"] == 3
+    assert count_rows["entries"] == n * (n - 1) // 2 == 496 + 1520
 
 
 @pytest.mark.parametrize("dim, beta, exact", [(3, 3.8, True), (2, 2.8, False)])
@@ -431,7 +520,7 @@ def test_kink_corrections_match_nested_quad(shell_quad):
 
 def test_kink_corrections_read_filled_rows(monkeypatch):
     # a window reads stored entries only: rows past its end are filled as
-    # whole table rows, one angular call each, and nothing else is evaluated
+    # whole 32-row blocks, and nothing else is evaluated
     calls = []
     inner = kernels._j_tilde_panels
 
@@ -444,13 +533,17 @@ def test_kink_corrections_read_filled_rows(monkeypatch):
     reach = tab._kink_reach()
     tab.ensure(60, 60)
     filled = len(calls)
-    assert filled == 59  # rows 1..59; row 0 is the exact center formula
-    tab._kink_corrections(60 - reach)  # every window ends below column 60
+    # rows 1..31 (row 0 is the exact center formula) in one call of 496
+    # entries, rows 32..63 in two of 1,024 and 496
+    assert filled == 3
+    assert tab.rows_filled == 64
+    tab._kink_corrections(64 - reach)  # every window ends below column 64
     assert len(calls) == filled
-    assert tab.rows_filled == 60
-    tab._kink_corrections(60)  # the last windows reach past the filled columns
-    assert len(calls) == filled + reach
-    assert tab.rows_filled == 60 + reach
+    assert tab.rows_filled == 64
+    tab._kink_corrections(64 - reach + 1)  # the last window reaches column 64
+    # rows 64..95: 1,552 near entries and 24 x 24 far samples, 1,024 per call
+    assert len(calls) == filled + 3
+    assert tab.rows_filled == 96
 
 
 def test_kink_corrections_grow_row_by_row():
@@ -473,7 +566,7 @@ def test_dense_cache_restores_kink_corrections(tmp_path, count_rows):
     fresh = KernelTables(k, 0.25)
     before = count_rows["calls"]
     assert fresh.load(path)
-    assert fresh.rows_filled == 40 + tab._kink_reach()  # the kink windows of rows < 40
+    assert fresh.rows_filled == 64  # the block holding the kink windows of rows < 40
     assert np.array_equal(fresh.tail_mass_vector(40, 39), tail)
     assert fresh._kink_corrections(40).tobytes() == tab._kink_corrections(40).tobytes()
     assert fresh.row_values(7, 40).tobytes() == tab.row_values(7, 40).tobytes()
@@ -493,7 +586,8 @@ def test_truncated_cache_leaves_table_unchanged(tmp_path, disc2, dense):
         fh.write(raw[:len(raw) // 2])
     tab = KernelTables(kernel, 0.1)
     tab.ensure(10)
-    filled = 10 if dense else 16  # a band table fills its first capacity, 16 rows
+    # a dense table fills a 32-row block, a band table its first capacity, 16 rows
+    filled = 32 if dense else 16
     assert tab.rows_filled == filled
     rows = np.stack([tab.row_values(i, 10) for i in range(10)])
     assert not tab.load(path)
@@ -537,7 +631,7 @@ def test_dense_growth_matches_single_fill():
     tab.ensure(61)
     single = KernelTables(k, 0.25)
     single.ensure(61)
-    assert tab.rows_filled == 61
+    assert tab.rows_filled == 64
     block = np.stack([tab.row_values(i, 61) for i in range(61)])
     expect = np.stack([single.row_values(i, 61) for i in range(61)])
     assert np.array_equal(block, expect)
