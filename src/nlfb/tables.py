@@ -27,7 +27,9 @@ The solver reads a table through conv (the quadrature of Jtilde * u)
 and tail_mass_vector (the tail masses beyond a boundary between columns).
 A band row gets its mass and tail row once, when it is filled or loaded,
 so a step only reads: conv uses windows of one persistent zero-padded
-buffer, and tail_mass_vector gathers two columns of <= 2*bw tail rows.
+buffer, and tail_mass_vector reads its two columns of <= 2*bw tail rows
+as anti-diagonals, strided views of the tail block.  The storage also
+holds the solver's radial measure |S^{N-1}| r_i^{N-1}.
 
 A table can be persisted to a small binary cache file (format v6): a
 header naming the kernel, grid and block shape, the stored block row
@@ -125,7 +127,9 @@ class KernelTables:
         self._rows_filled = 0
         self._cap = 0
         self._data = self._tail = self._windows = np.zeros((0, 2 * self.bw + 1))
-        self._row_mass = self._pad = np.zeros(0)
+        self._row_mass = self._pad = self._r_power = np.zeros(0)
+        #: the solver's radial measure: |S^{N-1}|, and r_i^{N-1} on the storage's rows
+        self._sphere_area = kmod.unit_sphere_area(kernel.dim)
         self._kink_corr = np.zeros(0)
         self._window_mass = np.zeros(0)
 
@@ -155,7 +159,7 @@ class KernelTables:
     def _reserve(self, n_rows: int) -> None:
         """Grow band storage to max(n_rows, 2 * capacity + 16) rows if it holds fewer.
 
-        conv's padded buffer and window view follow the capacity.
+        conv's padded buffer and window view and _r_power follow the capacity.
         """
         if n_rows <= self._data.shape[0]:
             return
@@ -167,6 +171,7 @@ class KernelTables:
         self._data, self._row_mass, self._tail = grown
         self._pad = np.zeros(cap + 2 * self.bw)
         self._windows = np.lib.stride_tricks.sliding_window_view(self._pad, width)
+        self._r_power = (np.arange(cap) * self.dr) ** (self.kernel.dim - 1)
 
     def _append_band(self, rows: np.ndarray) -> None:
         """Store new band rows, from quadrature or a cache file, and derive theirs.
@@ -256,6 +261,7 @@ class KernelTables:
             grown[:filled, :filled] = self._data[:filled, :filled]
             self._data = grown
             self._cap = new_cap
+            self._r_power = (np.arange(new_cap) * self.dr) ** (self.kernel.dim - 1)
         for b0 in range(filled, n, DENSE_BLOCK):
             self._fill_dense(b0)
         self._rows_filled = n
@@ -391,37 +397,42 @@ class KernelTables:
 
         j may be fractional: T is then linear between the bracketing
         columns lo = floor(j + 1e-9), the solver's boundary node, and
-        lo + 1, both read in one pass; an integer j reads column j alone.
-        Compact kernels integrate the stored band beyond the column, which
-        is free of cancellation, and divide by the row mass; the tail rows
-        built at fill hold this for every band column.  Fat tails use
-        1 - interior - kink correction (the row integrates to 1 exactly).
-        Both are clamped to [0, 1].
+        lo + 1; an integer j reads column j alone.  Compact kernels
+        integrate the stored band beyond the column, which is free of
+        cancellation, and divide by the row mass; the tail rows built at
+        fill hold this for every band column, and a column is read as an
+        anti-diagonal of them.  Fat tails use 1 - interior - kink correction
+        (the row integrates to 1 exactly).  Both are clamped to [0, 1].
         """
         lo = int(np.floor(j + 1e-9))
         frac = j - lo
-        cols = np.arange(lo, lo + 1 + (frac != 0))
-        rows = np.arange(n)[:, None]
         if self.banded:
             self.ensure(n)
-            # rows i <= lo - bw end at or before column lo and leak nothing
-            first = min(max(lo - self.bw + 1, 0), n)
-            # band index of each column, or of the row's first column when
-            # the column lies left of it
-            k = np.maximum(cols - rows[first:] + self.bw, 0)
-            tails = np.zeros((n, cols.size))
-            tails[first:] = self._tail[rows[first:], k]
-        else:
-            width = cols[-1] + 1
-            self.ensure(n, width)
-            # trapezoid weights over [0, c*dr], one column per bracketing c
-            w = np.where(np.arange(width)[:, None] <= cols, self.dr, 0.0)
-            w[0] = 0.5 * self.dr
-            w[cols, np.arange(cols.size)] = 0.5 * self.dr
-            interior = self._data[:n, :width] @ w
-            # the part of the peak-window defect that lies inside [0, c*dr]
-            ramp = np.clip((cols - rows) / self._kink_reach(), 0.0, 1.0)
-            tails = np.clip(1.0 - interior - self._kink_corrections(n)[:, None] * ramp, 0.0, 1.0)
+            bw = self.bw
+            # column c of row i is tail entry (i, c - i + bw), flat index
+            # 2 * bw * i + c + bw.  Rows i <= lo - bw end at or before column
+            # lo and leak nothing; rows i > lo + bw start at or right of column
+            # lo + 1, so beyond either column lies the whole row, tail[i, 0]
+            first, last = min(max(lo - bw + 1, 0), n), min(lo + bw + 1, n)
+            s0, stop = first * 2 * bw + lo + bw, last * 2 * bw + lo + bw
+            t0 = self._tail.ravel()[s0:stop:2 * bw]
+            t1 = self._tail.ravel()[s0 + 1:stop + 1:2 * bw]
+            out = np.zeros(n)
+            out[first:last] = t0 + frac * (t1 - t0)
+            out[last:] = self._tail[last:n, 0]
+            return out
+        cols = np.arange(lo, lo + 1 + (frac != 0))
+        rows = np.arange(n)[:, None]
+        width = cols[-1] + 1
+        self.ensure(n, width)
+        # trapezoid weights over [0, c*dr], one column per bracketing c
+        w = np.where(np.arange(width)[:, None] <= cols, self.dr, 0.0)
+        w[0] = 0.5 * self.dr
+        w[cols, np.arange(cols.size)] = 0.5 * self.dr
+        interior = self._data[:n, :width] @ w
+        # the part of the peak-window defect that lies inside [0, c*dr]
+        ramp = np.clip((cols - rows) / self._kink_reach(), 0.0, 1.0)
+        tails = np.clip(1.0 - interior - self._kink_corrections(n)[:, None] * ramp, 0.0, 1.0)
         return tails[:, 0] + frac * (tails[:, -1] - tails[:, 0])
 
     # -- persistence ----------------------------------------------------------
@@ -498,6 +509,7 @@ class KernelTables:
         else:
             self._data = block
             self._cap = self._rows_filled = block.shape[0]
+            self._r_power = (np.arange(self._cap) * self.dr) ** (self.kernel.dim - 1)
         self._kink_corr = corr
         return True
 

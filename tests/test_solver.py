@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -7,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlfb import (KernelTables, RunConfig, SimState, SolvabilityError,
-                  SPREADING, UNDECIDED, VANISHING, classify, find_mu_star,
-                  logistic, power_tail_kernel, run, step, uniform_kernel,
-                  unit_sphere_area)
+from nlfb import (KernelTables, NumericalError, RunConfig, SimState, SolvabilityError,
+                  SPREADING, UNDECIDED, VANISHING, classify, cosine_bump_kernel,
+                  find_mu_star, logistic, power_tail_kernel, run, step,
+                  uniform_kernel, unit_sphere_area)
 from nlfb import solver
-from nlfb.solver import _quad_weights, default_dt, initial_state
+from nlfb.solver import default_dt, initial_state
 
 
 def _cfg(**kw):
@@ -22,12 +23,55 @@ def _cfg(**kw):
     return RunConfig(**base)
 
 
-def test_quad_weights_sum():
+def _trapezoid_weights(m, dr, h):
+    """Trapezoid weights on [0, h] for nodes 0..m plus the boundary cell."""
+    w = np.full(m + 1, dr)
+    w[0] = 0.5 * dr
+    w[m] = 0.5 * dr + 0.5 * (h - m * dr)
+    return w
+
+
+def _reference_slopes(u, h, cfg, tables):
+    """_slopes in its one-weight-vector form: the trapezoid weights w, then
+    w * u, r^{N-1} u and |S^{N-1}| built on every call."""
+    m = u.size - 1
+    dr = cfg.dr
+    w = _trapezoid_weights(m, dr, h)
+    conv = tables.conv(w * u)
+    dudt = cfg.d * (conv - u) + np.asarray(cfg.reaction(u))
+    nm1 = cfg.kernel.dim - 1
+    ru = (np.arange(m + 1) * dr) ** nm1 * u
+    tail = tables.tail_mass_vector(m + 1, h / dr)
+    flux = float(np.dot(w, ru * tail))
+    mass = unit_sphere_area(cfg.kernel.dim) * float(np.dot(w, ru))
+    return dudt, cfg.mu / h ** nm1 * flux, mass
+
+
+def test_slopes_match_the_reference_quadrature(tmp_path, rng):
     # trapezoid nodes plus a partial last cell whose far end carries no
     # weight (the integrand vanishes at h)
-    w = _quad_weights(10, 0.1, 1.04)
+    w = _trapezoid_weights(10, 0.1, 1.04)
     assert w.size == 11
     assert abs(w.sum() - (1.0 + 0.04 / 2)) < 1e-14
+    # banded and dense tables, filled or loaded from a cache file, h on a
+    # node and between nodes, grids within the first storage and past it
+    path = str(tmp_path / "t.nlfbkt")
+    for kernel, dr in [(uniform_kernel(2), 0.05), (uniform_kernel(3), 0.1),
+                       (power_tail_kernel(2, 2.8), 0.25), (power_tail_kernel(3, 3.8), 0.25)]:
+        cached = KernelTables(kernel, dr)
+        cached.ensure(20)
+        cached.save(path)
+        loaded = KernelTables(kernel, dr)
+        assert loaded.load(path)
+        cfg = _cfg(kernel=kernel, dr=dr, mu=1.7, d=1.3)
+        for tab, m in itertools.product((KernelTables(kernel, dr), loaded), (1, 12, 90)):
+            u = rng.uniform(0.0, 1.2, m + 1)
+            for h in (m * dr, (m + 0.4) * dr):
+                dudt, hdot, mass = solver._slopes(u, h, cfg, tab)
+                ref_dudt, ref_hdot, ref_mass = _reference_slopes(u, h, cfg, tab)
+                assert np.array_equal(dudt, ref_dudt), (kernel.label, m, h)
+                assert abs(hdot - ref_hdot) <= 1e-14 * abs(ref_hdot), (kernel.label, m, h)
+                assert abs(mass - ref_mass) <= 1e-14 * ref_mass, (kernel.label, m, h)
 
 
 def _per_call_band_tails(tab, n, j):
@@ -69,6 +113,62 @@ def test_banded_tail_vector_matches_row_loop(dim, dr):
             assert got.shape == expect.shape
             assert np.abs(got - expect).max() <= 1e-15, (m, frac)
             assert np.array_equal(got, _per_call_band_tails(tab, m + 1, m + frac)), (m, frac)
+
+
+@pytest.mark.parametrize("kernel, dr", [(uniform_kernel(2), 0.05), (uniform_kernel(3), 0.1),
+                                        (cosine_bump_kernel(2), 0.05)])
+def test_banded_tail_vector_before_and_past_the_anti_diagonals(kernel, dr):
+    # bit for bit against the per-call expression also where the rows end
+    # before the anti-diagonals (n - 1 > lo + bw: every row past them reads
+    # its whole-row tail) and where they start after them (n - 1 < lo - bw +
+    # 1: no row leaks), and on the solver's n = lo + 1
+    tab = KernelTables(kernel, dr)
+    bw = tab.bw
+    cases = [(m + 1, m) for m in (0, 3, bw, 3 * bw)]
+    cases += [(bw + 7, 3), (3 * bw, bw), (5 * bw, 2 * bw)]  # past lo + bw
+    cases += [(1, bw), (bw, 3 * bw), (2, 2 * bw)]  # before lo - bw + 1
+    for n, lo in cases:
+        for frac in (0.0, 0.3, 0.999):
+            got = tab.tail_mass_vector(n, lo + frac)
+            assert got.shape == (n,)
+            assert np.array_equal(got, _per_call_band_tails(tab, n, lo + frac)), (n, lo, frac)
+    assert np.all(tab.tail_mass_vector(bw, 3 * bw + 0.5) == 0.0)
+    assert np.all(tab.tail_mass_vector(5 * bw, 2 * bw + 0.5)[3 * bw + 1:] > 0.99)
+
+
+def test_negative_update_raises_past_the_stability_bound(tables_disc2):
+    # one spike under dt = 10, twenty times the bound dt (d + Lip f) < 0.9:
+    # the spike falls to about 1 - dt
+    cfg = _cfg(dr=0.05)
+    u = np.zeros(41)
+    u[20] = 1.0
+    with pytest.raises(NumericalError, match="negative values"):
+        step(SimState(t=0.0, h=2.0, u=u), cfg, tables_disc2, 10.0)
+
+
+def test_rounding_dip_is_clipped_and_a_nonnegative_update_is_not(monkeypatch, tables_disc2):
+    clips = []
+    inner = np.clip
+
+    def counting(*args, **kw):
+        clips.append(1)
+        return inner(*args, **kw)
+
+    monkeypatch.setattr(np, "clip", counting)
+    cfg = _cfg(dr=0.1)
+    state = SimState(t=0.0, h=0.25, u=np.array([1.0, 0.5, 1e-14]))
+    # a dip of about -1e-14, far inside the 1e-12 rounding allowance
+    dudt = np.array([0.25, -0.5, -2e-14])
+    new = solver._advance(state, cfg, tables_disc2, 1.0, dudt, 0.0)
+    assert clips and new.u[2] == 0.0 and not np.signbit(new.u[2])
+    assert np.array_equal(new.u[:2], [1.25, 0.0])
+    # a nonnegative update is the Euler step itself, with no clip pass
+    clips.clear()
+    dudt = np.array([0.25, -0.5, 2e-14])
+    new = solver._advance(state, cfg, tables_disc2, 1.0, dudt, 0.0)
+    assert not clips
+    assert np.array_equal(new.u, state.u + 1.0 * dudt)
+    assert new.t == 1.0 and new.h == 0.25
 
 
 def test_negative_initial_profile_is_rejected():
@@ -366,24 +466,42 @@ def _band_tables(dim, dr):
     return KernelTables(uniform_kernel(dim), dr)
 
 
-def _short_run(grid, **kw):
+@functools.cache
+def _fat_tables(dim, beta):
+    """One dense power-tail table per kernel at dr = 0.25, shared likewise."""
+    return KernelTables(power_tail_kernel(dim, beta), 0.25)
+
+
+def _short_run(grid, tables=_band_tables, **kw):
     # a fixed dt keeps the runs of a pair on the same time grid; dt (d + Lip f)
     # stays <= 0.3 for amplitudes up to 1.5
-    tab = _band_tables(*grid)
+    tab = tables(*grid)
     return run(RunConfig(kernel=tab.kernel, d=1.0, reaction=logistic(), dr=tab.dr, dt=0.1,
                          t_end=4.0, snapshot_stride=0.5, **kw), tables=tab)
+
+
+def _check_bounds_and_monotone_front(traj, amp):
+    bound = max(amp, 1.0) * (1.0 + ORDER_TOL)  # max(|u0|_inf, u_star)
+    assert np.all(np.diff(traj.h) >= 0.0)
+    assert traj.u_max.max() <= bound
+    for _, _, u in traj.snapshots:
+        assert u.min() >= 0.0 and u.max() <= bound
 
 
 @PROPERTY_SETTINGS
 @given(grid=BAND_GRIDS, h0=st.floats(0.5, 3.0), amp=st.floats(0.05, 1.5),
        mu=st.floats(0.1, 5.0))
 def test_band_run_bounds_and_monotone_front(grid, h0, amp, mu):
-    traj = _short_run(grid, h0=h0, u0_amplitude=amp, mu=mu)
-    bound = max(amp, 1.0) * (1.0 + ORDER_TOL)  # max(|u0|_inf, u_star)
-    assert np.all(np.diff(traj.h) >= 0.0)
-    assert traj.u_max.max() <= bound
-    for _, _, u in traj.snapshots:
-        assert u.min() >= 0.0 and u.max() <= bound
+    _check_bounds_and_monotone_front(_short_run(grid, h0=h0, u0_amplitude=amp, mu=mu), amp)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(kernel=st.sampled_from([(2, 2.8), (3, 3.8)]), h0=st.floats(0.5, 3.0),
+       amp=st.floats(0.05, 1.5), mu=st.floats(0.1, 5.0))
+def test_fat_tail_run_bounds_and_monotone_front(kernel, h0, amp, mu):
+    # dense power-tail tables, beta in (N, N + 1): the same invariants
+    traj = _short_run(kernel, tables=_fat_tables, h0=h0, u0_amplitude=amp, mu=mu)
+    _check_bounds_and_monotone_front(traj, amp)
 
 
 @PROPERTY_SETTINGS
