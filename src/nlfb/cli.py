@@ -2,7 +2,7 @@
 
 Subcommands: simulate, semiwave, eigen, kernel-table, fit, sweep,
 validate.  Exit codes: 0 success, 1 model-input rejection, 2 numerical
-failure, 64 usage error, 66 unreadable config.  Commands that write
+failure, 64 usage error, 66 unreadable or invalid config.  Commands that write
 files also write a manifest.json listing every output.
 """
 
@@ -160,10 +160,7 @@ def cmd_semiwave(args) -> int:
     kernel = cfgmod.kernel_from_config(cfg)
     reaction = cfgmod.reaction_from_config(cfg)
     d, mu = cfg.get("d", 1.0), cfg.get("mu", 1.0)
-    try:
-        swmod.require_positive(d, mu, cfg.get("dx"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    swmod.require_positive(d, mu, cfg.get("dx"))  # exit 66 ahead of a divergent moment
     if not math.isfinite(kmod.moment_n(kernel)):
         sys.stderr.write("infinite speed: the kernel moment condition fails "
                          "(fat tail too heavy), no finite semi-wave exists\n")
@@ -331,7 +328,7 @@ def dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError, and bad values the model code rejects
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     except (KernelValidationError, SolvabilityError) as exc:

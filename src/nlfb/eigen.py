@@ -102,7 +102,7 @@ def _assemble(p: EigenProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     G = np.zeros((n, 2 * reach + 1))
     G[:m + 1] = t.diagonals(m + 1, reach)
     if n == m + 2:
-        # off-grid endpoint: one quadrature row, column via the symmetry
+        # off-grid endpoint: one j_tilde_row row, column via the symmetry
         # identity (exact center value for the r = 0 entry)
         kern = t.kernel
         lo = n - 1 - reach

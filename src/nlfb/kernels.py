@@ -14,10 +14,12 @@ Jtilde is evaluated through its angular representation
     chord(t)^2 = (r - rho)^2 + 4 r rho sin^2(t/2)  (= r^2 + rho^2 - 2 r rho cos t),
 
 which is smooth in t (the eta-substitution form has endpoint
-singularities for N = 2), unless N = 3 and the kernel carries
-H(s) = int_s^inf t J(t) dt in closed form (tail_antiderivative, as the
-built-in kernels do).  Then s = chord(t) gives the exact
-Jtilde(r, rho) = (2 pi rho / r) (H(|r - rho|) - H(r + rho)).
+singularities for N = 2).  Every entry, a table's or a single pair's,
+takes the same rule: ANGULAR_ORDER Gauss-Legendre nodes on each angular
+panel.  Two cases are exact instead: r = 0, where J is constant on the
+sphere, and N = 3 when the kernel carries H(s) = int_s^inf t J(t) dt in
+closed form (tail_antiderivative, as the built-in kernels do), where
+s = chord(t) gives Jtilde(r, rho) = (2 pi rho / r) (H(|r - rho|) - H(r + rho)).
 Jstar is evaluated through
 
     Jstar(l) = w_{N-1} int_0^inf J(sqrt(l^2 + s^2)) s^{N-2} ds.
@@ -44,10 +46,14 @@ COMPACT = "compact"
 FAT_TAIL = "fat_tail"
 CUSTOM = "custom"
 
-#: default Gauss-Legendre order for single kernel-transform evaluations
-DEFAULT_ORDER = 64
-#: relative agreement required between consecutive quadrature orders
-ORDER_DOUBLING_TOL = 1e-9
+#: Gauss-Legendre order per angular panel of every Jtilde entry that is not
+#: exact, a table's or a single pair's.  Largest error against 40-digit mpmath
+#: at 24 (at 48 on the cosine chord before): beta = 2.8, N = 2 rows 10, 100, 499
+#: at dr = 0.25, 6.5e-16 relative (7.3e-12); cosine-bump N = 2 band rows to
+#: r = 40 at dr = 0.05, 3.6e-15 of the row maximum (1.4e-12); disc band entries
+#: exact to rounding (unchanged); off-grid pairs as lambda1's row takes them,
+#: disc, cosine bump and beta = 2.8, 3.5, 3.8e-15 relative.
+ANGULAR_ORDER = 24
 #: Gauss-Legendre order of each half panel of shell_mass
 SHELL_ORDER = 48
 #: largest deviation of the kernel's mass from 1 that validate_kernel accepts
@@ -67,8 +73,7 @@ class RadialKernel:
     breakpoints lists radii where the profile is non-smooth (e.g. the
     support edge of a truncated kernel); quadrature panels split there.
     For fat-tail kernels, tail_scale is the asymptotic coefficient A in
-    J(r) ~ A r^(-beta) and tail_start the radius beyond which the
-    two-sided power bound holds.  tail_antiderivative, when known in
+    J(r) ~ A r^(-beta).  tail_antiderivative, when known in
     closed form, is H(s) = int_s^inf t J(t) dt (vectorized); for N = 3
     it makes Jtilde exact.
     """
@@ -79,7 +84,6 @@ class RadialKernel:
     support_radius: float | None = None
     tail_exponent: float | None = None
     tail_scale: float | None = None
-    tail_start: float = 1.0
     breakpoints: tuple[float, ...] = ()
     label: str = ""
     params: tuple = field(default_factory=tuple)
@@ -198,7 +202,6 @@ def power_tail_kernel(dim: int, beta: float) -> RadialKernel:
         kind=FAT_TAIL,
         tail_exponent=beta,
         tail_scale=amp,
-        tail_start=1.0,
         label=f"powertail{dim}d",
         params=(beta,),
         tail_antiderivative=tail,
@@ -403,10 +406,17 @@ def _fat_theta_edges(r, rho: np.ndarray) -> np.ndarray:
     Edges 0, theta0, 4 theta0, ... capped at pi keep a fixed node density
     per octave of the peak, so far entries (wide peaks) take few panels;
     repeated pi edges are empty panels, which _j_tilde_panels skips.
+
+    The chord vanishes at theta ~ +-i |r - rho| / sqrt(r rho), a branch point
+    of J(chord) unless J is even in the chord.  Where that is within theta0 / 5,
+    the edges start at 5 times its distance instead (power tails at |r - rho| =
+    0.05 and 0.001 were 1e-10 and 1e-6 off); pairs |r - rho| >= 0.25 keep theirs.
     """
-    theta0 = (1.0 + np.abs(r - rho)) / (1.0 + np.sqrt(r * rho))
+    gap, root = np.abs(r - rho), np.sqrt(r * rho)
+    theta0 = (1.0 + gap) / (1.0 + root)
+    near = 5.0 * gap / root
     cols = [np.zeros_like(rho)]
-    scale = theta0
+    scale = np.where((near > 0.0) & (near < theta0), near, theta0)
     for _ in range(40):
         cols.append(np.minimum(scale, math.pi))
         if np.all(scale >= math.pi):
@@ -416,13 +426,13 @@ def _fat_theta_edges(r, rho: np.ndarray) -> np.ndarray:
 
 
 def _j_tilde_panels(kernel: RadialKernel, r, rho: np.ndarray,
-                    edges: np.ndarray, order: int) -> np.ndarray:
+                    edges: np.ndarray) -> np.ndarray:
     # One panel at a time, over its live rows (b > a) only: in the benchmark's
-    # fat_tail_front (seeds 1-3, 2-vCPU VM, order 24) all panels at once raised
+    # fat_tail_front (seeds 1-3, 2-vCPU VM) all panels at once raised
     # peak RSS from 87.0-87.2 to 88.4-88.7 MB and wall_s from 0.53-0.64 s to
     # 0.75-0.97 s.
     n = kernel.dim
-    x, gw = gl_rule(order)
+    x, gw = gl_rule(ANGULAR_ORDER)
     gap2, span = (r - rho) ** 2, 4.0 * r * rho
     acc = np.zeros_like(rho)
     for p in range(edges.shape[1] - 1):
@@ -448,12 +458,13 @@ def j_tilde_center(kernel: RadialKernel, rho):
     return unit_sphere_area(kernel.dim) * rho ** (kernel.dim - 1) * kernel(rho)
 
 
-def j_tilde_row(kernel: RadialKernel, r, rho, order: int = DEFAULT_ORDER) -> np.ndarray:
+def j_tilde_row(kernel: RadialKernel, r, rho) -> np.ndarray:
     """Jtilde(r, rho) elementwise over sphere radii rho and r, a scalar or rho's shape.
 
     A scalar r gives one table row; an array r gives any set of entries in
-    one call.  order (Gauss-Legendre nodes per angular panel) is unused where
-    Jtilde is exact.
+    one call.  Entries at r = 0 and N = 3 entries with tail_antiderivative
+    are exact; every other entry takes ANGULAR_ORDER Gauss-Legendre nodes
+    per angular panel.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     r = np.zeros_like(rho) + r
@@ -479,31 +490,20 @@ def j_tilde_row(kernel: RadialKernel, r, rho, order: int = DEFAULT_ORDER) -> np.
         r, rr = r[reach], rp[reach]
         # J = 0 beyond the support angle: the edges stop there
         edges = np.minimum(_theta_breaks(kernel, r, rr), _chord_angle(r, rr, K)[:, None])
-        vals[reach] = _j_tilde_panels(kernel, r, rr, edges, order)
+        vals[reach] = _j_tilde_panels(kernel, r, rr, edges)
         out[pos] = vals
         return out
     edges = _fat_theta_edges(r, rp)
     if kernel.breakpoints:
         edges = np.sort(np.concatenate(
             (edges, _theta_breaks(kernel, r, rp)), axis=1), axis=1)
-    out[pos] = _j_tilde_panels(kernel, r, rp, edges, order)
+    out[pos] = _j_tilde_panels(kernel, r, rp, edges)
     return out
 
 
-def j_tilde(kernel: RadialKernel, r: float, rho: float,
-            order: int = DEFAULT_ORDER) -> float:
-    """Jtilde(r, rho) with an order-doubling fallback for accuracy."""
-    if rho <= 0.0:
-        return 0.0
-    prev = float(j_tilde_row(kernel, r, np.array([rho]), order)[0])
-    if r == 0.0 or _exact_n3(kernel):
-        return prev  # exact: order is ignored, a second call gives the same value
-    for _ in range(3):
-        cur = float(j_tilde_row(kernel, r, np.array([rho]), 2 * order)[0])
-        if abs(cur - prev) <= ORDER_DOUBLING_TOL * max(1.0, abs(cur)):
-            return cur
-        prev, order = cur, 2 * order
-    return prev
+def j_tilde(kernel: RadialKernel, r: float, rho: float) -> float:
+    """Jtilde(r, rho) of one pair: the rule of j_tilde_row, which every table entry takes."""
+    return float(j_tilde_row(kernel, r, rho)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -135,8 +135,6 @@ class SemiWaveSolution:
     residual_speed: float
     M: float
     dx: float
-    norm1: float
-    moment1: float
     tail_gap: float
 
 
@@ -404,8 +402,6 @@ def _solve_at_truncation(prob: SemiWaveProblem, disc: _Discretization,
         residual_speed=abs(c0 - disc.c_map(phi)),
         M=disc.M,
         dx=disc.dx,
-        norm1=prob.P.norm1,
-        moment1=prob.P.moment1,
         tail_gap=float(ustar - phi[0]),
     )
 

@@ -169,6 +169,8 @@ def run(cfg: RunConfig, tables: KernelTables | None = None,
     """
     if cfg.t_end < 0.0:
         raise ValueError(f"t_end = {cfg.t_end:g} must be nonnegative")
+    if cfg.dt is not None and not cfg.dt > 0.0:  # NaN fails the test too
+        raise ValueError(f"dt = {cfg.dt:g} must be positive")
     if tables is None:
         tables = KernelTables(cfg.kernel, cfg.dr)
     dt = cfg.dt if cfg.dt is not None else default_dt(cfg)

@@ -1,15 +1,15 @@
 """Grid discretizations of the sphere-to-sphere kernel, with caching.
 
 KernelTables holds Jtilde(r_i, rho_j) sampled on the uniform grid
-r_i = i * dr.  Compactly supported kernels store only the diagonal band
+r_i = i * dr, every entry by the one rule of kernels.j_tilde_row.
+Compactly supported kernels store only the diagonal band
 |r - rho| < support_radius (everything else is exactly zero); fat-tail
 kernels store a dense square block of rows and columns below
-rows_filled.  Rows are filled on demand.  A band table fills up to the
-capacity its storage grows to (2 * capacity + 16 rows, at least the rows
-asked for), so a caller that asks one row at a time still fills in
-batches, and it evaluates about FILL_BLOCK entries per kernel call.  A
-dense table fills the square block asked for in whole blocks of
-DENSE_BLOCK rows.
+rows_filled.  Rows are filled on demand into storage that grows in one
+place, _reserve.  A band table fills up to its capacity, so a caller
+that asks one row at a time still fills in batches, and it evaluates
+about FILL_BLOCK entries per kernel call.  A dense table fills the
+square block asked for in whole blocks of DENSE_BLOCK rows.
 
 A new dense row i gets only its lower triangle j <= i; row 0 is the exact
 center formula, and the upper triangle is mirrored through the symmetry
@@ -58,13 +58,6 @@ from .kernels import RadialKernel
 MAGIC = b"NLFBKT6\x00"
 #: dim, dr, kernel hash, rows, banded flag, stored row width, kink corrections
 _HEADER = struct.Struct("<id16siiii")
-#: Gauss-Legendre order per angular panel when sampling table entries by
-#: the angular rule (N = 2 and custom N = 3 kernels; exact entries ignore it).
-#: Largest error against 40-digit mpmath at 24 (at 48 on the cosine chord
-#: before): beta = 2.8, N = 2 rows 10, 100, 499 at dr = 0.25, 6.5e-16 relative
-#: (7.3e-12); cosine-bump N = 2 band rows to r = 40 at dr = 0.05, 3.6e-15 of
-#: the row maximum (1.4e-12); disc band entries exact to rounding (unchanged).
-FILL_ORDER = 24
 #: dense rows per shell_mass call for the kink-correction window masses.  One
 #: call per new row costs ~0.2 ms of fixed overhead; larger blocks add their
 #: scratch arrays to the peak memory (fat_tail_front fronts: +0.1 MB at 32
@@ -73,8 +66,8 @@ WINDOW_BLOCK = 32
 #: entries per j_tilde_row call when filling band rows and dense blocks.  One
 #: call per band row pays the fixed cost for ~40 entries: 1,201 disc rows at dr =
 #: 0.05 fill in 0.12 s one row per call and in 0.033 s in blocks.  Larger blocks
-#: add the quadrature's scratch (24 nodes per entry) to the peak memory: the
-#: compact_front fronts with h'(0) set-ups at dr = 0.0125 peak at 80.2 MB one row
+#: add the quadrature's scratch (ANGULAR_ORDER nodes per entry) to the peak memory:
+#: the compact_front fronts with h'(0) set-ups at dr = 0.0125 peak at 80.2 MB one row
 #: per call, 80.4-80.6 MB at 1,024 entries and 95.6 MB at 65,536 (256 run 30 %
 #: slower); whole dense blocks per call raised fat_tail_front's by 1.7 MB
 FILL_BLOCK = 1024
@@ -125,10 +118,10 @@ class KernelTables:
         else:
             self.bw = 0
         self._rows_filled = 0
-        self._cap = 0
         self._data = self._tail = self._windows = np.zeros((0, 2 * self.bw + 1))
-        self._row_mass = self._pad = self._r_power = np.zeros(0)
-        #: the solver's radial measure: |S^{N-1}|, and r_i^{N-1} on the storage's rows
+        self._row_mass = self._pad = np.zeros(0)
+        #: the solver's radial measure: |S^{N-1}|, and r_i^{N-1} on the storage's
+        #: rows (_r_power, built by _reserve)
         self._sphere_area = kmod.unit_sphere_area(kernel.dim)
         self._kink_corr = np.zeros(0)
         self._window_mass = np.zeros(0)
@@ -153,24 +146,32 @@ class KernelTables:
         live = (j > 0) & ((np.abs(k) * self.dr < self.kernel.support_radius) | (i == 0))
         rows = np.zeros(j.shape)
         rows[live] = kmod.j_tilde_row(self.kernel, np.broadcast_to(i * self.dr, j.shape)[live],
-                                      j[live] * self.dr, FILL_ORDER)
+                                      j[live] * self.dr)
         return rows
 
     def _reserve(self, n_rows: int) -> None:
-        """Grow band storage to max(n_rows, 2 * capacity + 16) rows if it holds fewer.
+        """Grow the storage, keeping its filled rows, if it holds fewer than n_rows.
 
-        conv's padded buffer and window view and _r_power follow the capacity.
+        Band storage, conv's padded buffer and its window view grow to max(n_rows,
+        2 * capacity + 16) rows; dense storage to max(n_rows, 1.5 * capacity +
+        16) square, rounded up to DENSE_BLOCK.  _r_power follows the capacity.
         """
-        if n_rows <= self._data.shape[0]:
+        cap, start = self._data.shape[0], self._rows_filled
+        if n_rows <= cap:
             return
-        start, width = self._rows_filled, 2 * self.bw + 1
-        cap = max(n_rows, 2 * self._data.shape[0] + 16)
-        grown = (np.zeros((cap, width)), np.zeros(cap), np.zeros((cap, width)))
-        for new, old in zip(grown, (self._data, self._row_mass, self._tail)):
-            new[:start] = old[:start]
-        self._data, self._row_mass, self._tail = grown
-        self._pad = np.zeros(cap + 2 * self.bw)
-        self._windows = np.lib.stride_tricks.sliding_window_view(self._pad, width)
+        if self.banded:
+            cap, width = max(n_rows, 2 * cap + 16), 2 * self.bw + 1
+            grown = (np.zeros((cap, width)), np.zeros(cap), np.zeros((cap, width)))
+            for new, old in zip(grown, (self._data, self._row_mass, self._tail)):
+                new[:start] = old[:start]
+            self._data, self._row_mass, self._tail = grown
+            self._pad = np.zeros(cap + 2 * self.bw)
+            self._windows = np.lib.stride_tricks.sliding_window_view(self._pad, width)
+        else:
+            cap = -(-max(n_rows, int(1.5 * cap) + 16) // DENSE_BLOCK) * DENSE_BLOCK
+            grown = np.zeros((cap, cap))
+            grown[:start, :start] = self._data[:start, :start]
+            self._data = grown
         self._r_power = (np.arange(cap) * self.dr) ** (self.kernel.dim - 1)
 
     def _append_band(self, rows: np.ndarray) -> None:
@@ -184,7 +185,10 @@ class KernelTables:
         stop = start + rows.shape[0]
         self._data[start:stop] = rows
         band = self._data[start:stop]
-        # band endpoints are zero, so the trapezoid is a plain sum
+        # a plain sum: the trapezoid where band endpoints are zero, but row 0 keeps
+        # Jtilde(0, K) = 2 (disc) or 3 (ball) at weight dr, not dr / 2, so its
+        # mass reads 1.05 and 1.07625 at dr = 0.05, where the trapezoid gives 1.0
+        # and 1.00125
         mass = self._row_mass[start:stop] = band.sum(axis=1) * self.dr
         beyond = np.cumsum(band[:, ::-1], axis=1)[:, ::-1]  # beyond[:, k] = band[:, k:].sum()
         self._tail[start:stop] = np.clip(self.dr * (beyond - 0.5 * band) / mass[:, None],
@@ -221,7 +225,7 @@ class KernelTables:
                                      np.reshape(nodes[1:], (len(far), 1, P_CHEB)))
         r_all, rho_all = (np.concatenate((a, b.ravel())) * dr for a, b in ((ii, r), (jj, rho)))
         vals = np.concatenate([
-            kmod.j_tilde_row(kernel, r_all[s:s + FILL_BLOCK], rho_all[s:s + FILL_BLOCK], FILL_ORDER)
+            kmod.j_tilde_row(kernel, r_all[s:s + FILL_BLOCK], rho_all[s:s + FILL_BLOCK])
             for s in range(0, r_all.size, FILL_BLOCK)])
         data[ii, jj] = vals[:ii.size]
         g = (vals[ii.size:] / rho_all[ii.size:] ** nm1).reshape(r.shape)
@@ -239,9 +243,9 @@ class KernelTables:
     def ensure(self, n_rows: int, n_cols: int | None = None) -> None:
         """Fill rows 0..n_rows-1 (and, for dense tables, columns 0..n_cols-1).
 
-        A band table fills up to its capacity, growing it to
-        max(n_rows, 2 * capacity + 16) when n_rows exceeds it.  A dense table
-        fills the square block of max(n_rows, n_cols) rows in whole DENSE_BLOCKs.
+        A band table fills up to its capacity, growing it (_reserve) when
+        n_rows exceeds it.  A dense table fills the square block of
+        max(n_rows, n_cols) rows in whole DENSE_BLOCKs.
         """
         if self.banded:
             if n_rows > self._rows_filled:
@@ -255,13 +259,7 @@ class KernelTables:
         if n <= filled:
             return
         n = -(-n // DENSE_BLOCK) * DENSE_BLOCK
-        if n > self._cap:
-            new_cap = -(-max(n, int(1.5 * self._cap) + 16) // DENSE_BLOCK) * DENSE_BLOCK
-            grown = np.zeros((new_cap, new_cap))
-            grown[:filled, :filled] = self._data[:filled, :filled]
-            self._data = grown
-            self._cap = new_cap
-            self._r_power = (np.arange(new_cap) * self.dr) ** (self.kernel.dim - 1)
+        self._reserve(n)
         for b0 in range(filled, n, DENSE_BLOCK):
             self._fill_dense(b0)
         self._rows_filled = n
@@ -502,14 +500,13 @@ class KernelTables:
         if parsed is None:
             return False
         block, corr = parsed
+        self._rows_filled, n = 0, block.shape[0]
+        self._reserve(n)
         if self.banded:
-            self._rows_filled = 0
-            self._reserve(block.shape[0])
             self._append_band(block)
         else:
-            self._data = block
-            self._cap = self._rows_filled = block.shape[0]
-            self._r_power = (np.arange(self._cap) * self.dr) ** (self.kernel.dim - 1)
+            self._data[:n, :n] = block
+            self._rows_filled = n
         self._kink_corr = corr
         return True
 

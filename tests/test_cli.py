@@ -1,11 +1,15 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from nlfb import logistic, speed_from_kernel, uniform_kernel
+from nlfb import __version__, logistic, speed_from_kernel, uniform_kernel
 from nlfb.cli import (EXIT_CONFIG, EXIT_MODEL, EXIT_OK, EXIT_USAGE, dispatch)
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture(autouse=True)
@@ -44,6 +48,32 @@ def test_missing_config_file(tmp_path):
 def test_bad_config_key(tmp_path):
     path = _cfg(tmp_path, "velocity = 3\n")
     assert dispatch(["validate", "--config", path]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("line", [
+    "N = 2.0", "N = 1", "kernel.kind = fat_tail\nkernel.beta = 2.0", "f.scale = -1",
+    "dr = 0", "u0.amplitude = -1", "dt = 0", "dt = -1"],
+    ids=["N=2.0", "N=1", "beta=2.0", "f.scale=-1", "dr=0", "amplitude=-1", "dt=0", "dt=-1"])
+def test_simulate_bad_value_is_config_error(tmp_path, capsys, line):
+    # values the model code rejects with ValueError end in exit 66, not a traceback
+    path = _cfg(tmp_path, SIM.format(out=tmp_path / "out") + line + "\n")
+    assert dispatch(["simulate", "--config", path]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def _python_m_nlfb(*args):
+    """Run python -m nlfb from this checkout's src/."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "nlfb", *args], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_python_m_nlfb_runs_the_cli(tmp_path):
+    done = _python_m_nlfb("--version")
+    assert (done.returncode, done.stdout.strip()) == (EXIT_OK, __version__)
+    done = _python_m_nlfb("validate", "--config", _cfg(tmp_path, "N = 2.0\n"))
+    assert done.returncode == EXIT_CONFIG
+    assert done.stderr.startswith("config error: ")
 
 
 def test_validate_ok(tmp_path, capsys):

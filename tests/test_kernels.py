@@ -17,7 +17,6 @@ from nlfb import kernels
 from nlfb.kernels import (boundary_flux, interior_rho_integral,
                           j_star_first_moment, normalization,
                           outward_rho_integral, require_valid, shell_mass)
-from nlfb.tables import FILL_ORDER
 
 
 def test_unit_sphere_areas():
@@ -269,9 +268,10 @@ def test_shell_mass_rows_at_once_and_general_dimension(shell_quad):
         assert abs(rows[i] - exact) <= 1e-13 * exact, (r[i], exact)
 
 
-@pytest.mark.parametrize("k, calls", [(power_tail_kernel(3, 3.8), 1),
-                                      (power_tail_kernel(2, 2.8), 2)])
-def test_jtilde_order_doubling_only_where_order_matters(k, calls, monkeypatch):
+@pytest.mark.parametrize("k", [power_tail_kernel(3, 3.8), power_tail_kernel(2, 2.8)])
+def test_jtilde_is_one_row_call(k, monkeypatch):
+    # exact (N = 3) or by the angular rule (N = 2), a single pair is an entry
+    # of one j_tilde_row call, as every table entry is
     seen = []
     inner = kernels.j_tilde_row
 
@@ -281,7 +281,7 @@ def test_jtilde_order_doubling_only_where_order_matters(k, calls, monkeypatch):
 
     monkeypatch.setattr(kernels, "j_tilde_row", counting)
     j_tilde(k, 1.5, 2.0)
-    assert len(seen) == calls
+    assert len(seen) == 1
 
 
 def test_jtilde_far_field_marginal_limit(disc2):
@@ -291,12 +291,6 @@ def test_jtilde_far_field_marginal_limit(disc2):
             for r in (20.0, 40.0, 80.0)]
     assert errs[1] < 0.7 * errs[0]
     assert errs[2] < 0.7 * errs[1]
-
-
-def test_jtilde_order_doubling_stable(disc2):
-    a = float(j_tilde_row(disc2, 0.7, np.array([1.1]), 48)[0])
-    b = float(j_tilde_row(disc2, 0.7, np.array([1.1]), 96)[0])
-    assert abs(a - b) < 1e-9 * max(1.0, abs(a))
 
 
 def _jtilde2_mp(profile, r, rho, top=mpmath.pi):
@@ -318,48 +312,86 @@ def _jtilde2_mp(profile, r, rho, top=mpmath.pi):
             pts)
 
 
-def test_fat_tail_table_rows_match_mpmath():
-    # beta = 2.8, N = 2 dense rows at dr = 0.25, near and far from the diagonal
-    beta, dr = 2.8, 0.25
-    k = power_tail_kernel(2, beta)
+def _mp_power_profile(beta):
+    """The N = 2 power tail A (1 + s)^-beta in 40-digit mpmath."""
     with mpmath.workdps(40):
         amp = 1 / (2 * mpmath.pi * mpmath.beta(2, mpmath.mpf(beta) - 2))
+    return lambda s: amp * (1 + s) ** -mpmath.mpf(beta)
 
-    def profile(s):
-        return amp * (1 + s) ** -mpmath.mpf(beta)
 
+def _mp_cosine_profile():
+    """The N = 2 cosine bump (1 + cos(pi s)) / 2, normalized, in 40-digit mpmath."""
+    with mpmath.workdps(40):
+        mass = 2 * mpmath.pi * mpmath.quad(lambda s: s * (1 + mpmath.cos(mpmath.pi * s)) / 2,
+                                           [0, 1])
+    return lambda s: (1 + mpmath.cos(mpmath.pi * s)) / (2 * mass)
+
+
+def _jtilde2_mp_compact(profile, r, rho):
+    """_jtilde2_mp of a kernel supported in K = 1: J = 0 beyond the support
+    angle, where the chord reaches K."""
+    with mpmath.workdps(40):
+        gap = abs(mpmath.mpf(r) - mpmath.mpf(rho))
+        if gap >= 1:
+            return 0.0
+        x = (1 - gap) * (1 + gap) / (4 * mpmath.mpf(r) * mpmath.mpf(rho))
+        top = mpmath.pi if x >= 1 else 2 * mpmath.asin(mpmath.sqrt(x))
+        return float(_jtilde2_mp(profile, r, rho, top))
+
+
+def test_fat_tail_table_rows_match_mpmath():
+    # beta = 2.8, N = 2 dense rows at dr = 0.25, near and far from the diagonal
+    dr = 0.25
+    k, profile = power_tail_kernel(2, 2.8), _mp_power_profile(2.8)
     for i in (10, 100, 499):
         cols = np.unique([1, 2, i // 4, i // 2, i - 3, i - 1, i])
-        got = j_tilde_row(k, i * dr, cols * dr, FILL_ORDER)
+        got = j_tilde_row(k, i * dr, cols * dr)
         exact = np.array([float(_jtilde2_mp(profile, i * dr, j * dr)) for j in cols])
         assert np.all(np.abs(got - exact) <= 1e-13 * exact), (i, (got - exact) / exact)
 
 
+@pytest.mark.parametrize("beta", [2.8, 3.5])
+def test_fat_tail_fine_grid_entries_match_mpmath(beta):
+    # at dr = 0.05 and 0.1 the columns next to the diagonal bring the chord's
+    # branch point within theta0 / 5 of the first angular panel
+    k, profile = power_tail_kernel(2, beta), _mp_power_profile(beta)
+    for dr, i in ((0.05, 20), (0.05, 400), (0.1, 100)):
+        cols = np.arange(i - 3, i + 4)
+        got = j_tilde_row(k, i * dr, cols * dr)
+        exact = np.array([float(_jtilde2_mp(profile, i * dr, j * dr)) for j in cols])
+        assert np.all(np.abs(got - exact) <= 1e-14 * exact), (dr, i, (got - exact) / exact)
+
+
 def test_cosine_bump_band_rows_match_mpmath():
-    # every band column of N = 2 rows to r = 40 at dr = 0.05; J = 0 beyond the
-    # support angle, where the chord reaches K = 1
-    k, dr = cosine_bump_kernel(2), 0.05
-    with mpmath.workdps(40):
-        mass = 2 * mpmath.pi * mpmath.quad(lambda s: s * (1 + mpmath.cos(mpmath.pi * s)) / 2,
-                                           [0, 1])
-
-    def profile(s):
-        return (1 + mpmath.cos(mpmath.pi * s)) / (2 * mass)
-
-    def exact(r, rho):
-        with mpmath.workdps(40):
-            gap = abs(mpmath.mpf(r) - mpmath.mpf(rho))
-            if gap >= 1:
-                return 0.0
-            x = (1 - gap) * (1 + gap) / (4 * mpmath.mpf(r) * mpmath.mpf(rho))
-            top = mpmath.pi if x >= 1 else 2 * mpmath.asin(mpmath.sqrt(x))
-            return float(_jtilde2_mp(profile, r, rho, top))
-
+    # every band column of N = 2 rows to r = 40 at dr = 0.05
+    k, dr, profile = cosine_bump_kernel(2), 0.05, _mp_cosine_profile()
     for i in (1, 20, 800):
         cols = np.arange(max(i - 20, 1), i + 21)
-        got = j_tilde_row(k, i * dr, cols * dr, FILL_ORDER)
-        ref = np.array([exact(i * dr, j * dr) for j in cols])
+        got = j_tilde_row(k, i * dr, cols * dr)
+        ref = np.array([_jtilde2_mp_compact(profile, i * dr, j * dr) for j in cols])
         assert np.abs(got - ref).max() <= 1e-13 * ref.max(), i
+
+
+@pytest.mark.parametrize("k, profile, dr", [
+    (uniform_kernel(2), lambda s: 1 / mpmath.pi, 0.05),
+    (cosine_bump_kernel(2), _mp_cosine_profile(), 0.05),
+    (power_tail_kernel(2, 2.8), _mp_power_profile(2.8), 0.25),
+    (power_tail_kernel(2, 3.5), _mp_power_profile(3.5), 0.25)],
+    ids=["disc2", "cos2", "beta2.8", "beta3.5"])
+def test_jtilde_off_grid_pairs_match_mpmath(k, profile, dr):
+    # j_tilde at r = L off the grid against grid columns rho, the entries of
+    # lambda1's off-grid row: the rule of every table entry, to 1e-12 relative.
+    # The nearest column (offset 0) is 0.001 from L = 7.999: the chord's branch
+    # point then lies 1.3e-4 off the angular axis
+    offsets = ([-0.93, -0.5, 0.0, 0.03, 0.48, 0.93] if k.kind == "compact"
+               else [-20.0, -3.0, -0.3, 0.0, 0.2, 2.0, 30.0])
+    for L in (0.37, 5.55, 7.999, 41.9):
+        rho = np.unique(np.round((L + np.array(offsets)) / dr)) * dr
+        for p in rho[rho > 0.0]:
+            got = j_tilde(k, L, p)
+            exact = (_jtilde2_mp_compact(profile, L, p) if k.kind == "compact"
+                     else float(_jtilde2_mp(profile, L, p)))
+            assert exact > 0.0 and abs(got - exact) <= 1e-12 * exact, (L, p, got, exact)
 
 
 def test_disc_band_entries_are_the_support_angle(disc2):
@@ -368,7 +400,7 @@ def test_disc_band_entries_are_the_support_angle(disc2):
     for i in (1, 10, 20, 60, 800):
         rho = np.arange(max(i - 21, 1), i + 22) * dr
         expect = 2.0 * rho * kernels._chord_angle(i * dr, rho, 1.0) / math.pi
-        got = j_tilde_row(disc2, i * dr, rho, FILL_ORDER)
+        got = j_tilde_row(disc2, i * dr, rho)
         assert np.array_equal(got == 0.0, expect == 0.0), i
         assert np.all(np.abs(got - expect) <= 1e-14 * expect), i
 
@@ -386,10 +418,10 @@ def test_disc_band_rows_evaluate_the_profile_inside_the_support(disc2):
     for i in (1, 20, 800):
         rho = np.arange(max(i - 21, 1), i + 22) * dr
         chords.clear()
-        j_tilde_row(k, i * dr, rho, FILL_ORDER)
+        j_tilde_row(k, i * dr, rho)
         seen = np.concatenate(chords)
         inside = np.count_nonzero(kernels._chord_angle(i * dr, rho, 1.0) > 0.0)
-        assert seen.size == FILL_ORDER * inside, i
+        assert seen.size == kernels.ANGULAR_ORDER * inside, i
         assert seen.max() <= 1.0 + 1e-12, i
 
 
@@ -447,7 +479,7 @@ def test_jtilde3_closed_form_matches_quad_and_angular_rule(k, r):
     scale = np.abs(exact).max() if k.kind == "compact" else np.abs(exact)
     assert np.all(np.abs(got - exact) <= 1e-12 * scale)
     angular = j_tilde_row(dataclasses.replace(k, tail_antiderivative=None),
-                          r, rho, 192)
+                          r, rho)
     assert np.all(np.abs(got - angular) <= 1e-10 * scale)
 
 

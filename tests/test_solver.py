@@ -53,7 +53,8 @@ def test_slopes_match_the_reference_quadrature(tmp_path, rng):
     w = _trapezoid_weights(10, 0.1, 1.04)
     assert w.size == 11
     assert abs(w.sum() - (1.0 + 0.04 / 2)) < 1e-14
-    # banded and dense tables, filled or loaded from a cache file, h on a
+    # banded and dense tables, filled or loaded from a cache file (into empty
+    # storage, or storage that already holds more rows than the file), h on a
     # node and between nodes, grids within the first storage and past it
     path = str(tmp_path / "t.nlfbkt")
     for kernel, dr in [(uniform_kernel(2), 0.05), (uniform_kernel(3), 0.1),
@@ -61,10 +62,13 @@ def test_slopes_match_the_reference_quadrature(tmp_path, rng):
         cached = KernelTables(kernel, dr)
         cached.ensure(20)
         cached.save(path)
-        loaded = KernelTables(kernel, dr)
-        assert loaded.load(path)
+        loaded, reloaded = KernelTables(kernel, dr), KernelTables(kernel, dr)
+        reloaded.ensure(100)
+        assert loaded.load(path) and reloaded.load(path)
+        assert loaded.rows_filled == reloaded.rows_filled == cached.rows_filled < 90
         cfg = _cfg(kernel=kernel, dr=dr, mu=1.7, d=1.3)
-        for tab, m in itertools.product((KernelTables(kernel, dr), loaded), (1, 12, 90)):
+        for tab, m in itertools.product((KernelTables(kernel, dr), loaded, reloaded),
+                                        (1, 12, 90)):
             u = rng.uniform(0.0, 1.2, m + 1)
             for h in (m * dr, (m + 0.4) * dr):
                 dudt, hdot, mass = solver._slopes(u, h, cfg, tab)
@@ -72,6 +76,8 @@ def test_slopes_match_the_reference_quadrature(tmp_path, rng):
                 assert np.array_equal(dudt, ref_dudt), (kernel.label, m, h)
                 assert abs(hdot - ref_hdot) <= 1e-14 * abs(ref_hdot), (kernel.label, m, h)
                 assert abs(mass - ref_mass) <= 1e-14 * ref_mass, (kernel.label, m, h)
+        # m = 90 grew the table loaded into empty storage past the file's rows
+        assert loaded.rows_filled > 90
 
 
 def _per_call_band_tails(tab, n, j):
@@ -364,6 +370,12 @@ def test_h0_below_dr_is_rejected():
 def test_negative_t_end_is_rejected():
     with pytest.raises(ValueError, match="t_end"):
         run(_cfg(t_end=-1.0))
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0, math.nan])
+def test_nonpositive_dt_is_rejected(dt):
+    with pytest.raises(ValueError, match="dt"):
+        run(_cfg(dt=dt))
 
 
 def _step_loop(cfg, tables):

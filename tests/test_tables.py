@@ -7,7 +7,7 @@ import pytest
 from nlfb import (KernelTables, RunConfig, cosine_bump_kernel, custom_kernel, j_tilde,
                   j_tilde_row, kernels, logistic, power_tail_kernel, run, uniform_kernel)
 from nlfb.solver import _slopes
-from nlfb.tables import _HEADER, FILL_ORDER, MAGIC, cache_dir
+from nlfb.tables import _HEADER, MAGIC, cache_dir
 
 
 @pytest.fixture()
@@ -70,7 +70,7 @@ def test_dense_triangle_fill_across_growth(dim, beta, count_rows):
     # grow the capacity to 32, 64 and max(96, 1.5 * 64 + 16) rounded up, 128
     for n, rows, cap in ((4, 32, 32), (17, 32, 32), (40, 64, 64), (90, 96, 128)):
         tab.ensure(n, n)
-        assert (tab.rows_filled, tab._cap) == (rows, cap)
+        assert (tab.rows_filled, tab._data.shape[0]) == (rows, cap)
     n = 90
     # the lower triangle of rows 1..95, no entry twice (exact N = 3), or its
     # near part: rows 1..31 (496 entries) and 32..63 (1,520) in full, and of
@@ -86,7 +86,7 @@ def test_dense_triangle_fill_across_growth(dim, beta, count_rows):
     # the mirrored upper triangle against direct quadrature of each row
     for i in range(1, n - 1):
         rho = np.arange(i + 1, n) * dr
-        direct = j_tilde_row(k, i * dr, rho, FILL_ORDER)
+        direct = j_tilde_row(k, i * dr, rho)
         got = tab.row_values(i, n)[i + 1:]
         assert np.all(np.abs(got - direct) <= 1e-13 * np.abs(direct)), i
 
@@ -104,7 +104,7 @@ def test_dense_fill_matches_direct_quadrature(dim, beta, dr):
     tab.ensure(n)
     block = np.stack([tab.row_values(i, n) for i in range(n)])
     i, j = np.tril_indices(n)
-    direct = np.concatenate([j_tilde_row(k, i[s] * dr, j[s] * dr, FILL_ORDER)
+    direct = np.concatenate([j_tilde_row(k, i[s] * dr, j[s] * dr)
                              for s in np.array_split(np.arange(i.size), 32)])
     assert np.all(np.abs(block[i, j] - direct) <= 1e-13 * direct)
     # the upper triangle against the lower one's direct values, and row 0
@@ -135,7 +135,7 @@ def test_custom_fat_tail_fills_by_quadrature(breakpoints, count_rows):
     tab.ensure(n)
     assert count_rows["entries"] == n * (n - 1) // 2
     for i in range(1, n):
-        direct = j_tilde_row(k, i * dr, np.arange(1, i + 1) * dr, FILL_ORDER)
+        direct = j_tilde_row(k, i * dr, np.arange(1, i + 1) * dr)
         got = tab.row_values(i, i + 1)[1:]
         assert np.all(np.abs(got - direct) <= 1e-15 * direct), i
 
@@ -164,7 +164,7 @@ def _assert_rows_match_single_row_fill(tab, n):
     for i in range(n):
         cols = np.arange(max(i - tab.bw, 0), i + tab.bw + 1)
         keep = (np.abs(cols - i) != edge) | (i == 0)
-        ref = j_tilde_row(k, i * dr, cols * dr, FILL_ORDER)[keep]
+        ref = j_tilde_row(k, i * dr, cols * dr)[keep]
         got = tab.row_values(i, cols[-1] + 1)[cols][keep]
         assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref)), i
 
