@@ -70,13 +70,12 @@ def parse_config(path: str) -> dict:
         key, value = key.strip(), value.strip()
         if key not in KNOWN_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key == "N":
-            out[key] = int(value)
-        elif key in _FLOAT_KEYS:
+        if key == "N" or key in _FLOAT_KEYS:
+            cast, kind = (int, "integer") if key == "N" else (float, "number")
             try:
-                out[key] = float(value)
+                out[key] = cast(value)
             except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad number {value!r}") from exc
+                raise ConfigError(f"{path}:{lineno}: bad {kind} {value!r}") from exc
         else:
             out[key] = value
     return out

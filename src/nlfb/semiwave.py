@@ -12,32 +12,38 @@ d (||P||_1 - 1) u + f(u) = 0.  A solution with finite c exists exactly
 when P has a finite first moment; the solver reports an infinite-speed
 verdict otherwise.
 
-Numerics: for a trial speed c the profile equation is solved by Picard
-iteration that freezes the convolution term and integrates the
-remaining first-order equation upwind from x = 0 leftward; the speed is
-then pinned by brentq on g(c) = c - c_map(c), where c_map evaluates
-the flux integral on the computed profile.  The convolution runs over
-the kernel's support window only (out to its last nonzero grid sample,
-the whole grid for unbounded P), and the march steps Python floats.
-Each trial speed is solved once: brentq reuses the values of g at the
-bracket ends.  The profile at the root is solved again from the last
-one, and the residuals are reported on that profile.  The domain
-truncation at x = -M is corrected analytically by treating phi as the
-constant u_star_hat beyond the window.  A profile that rises anywhere
-is not a semi-wave (the explicit march is unstable once
-dx (d - f'(u_star_hat)) / c exceeds 2), and neither is one that still
-misses the plateau at M_cap: both raise NumericalError.
+Numerics: the half line is cut at x = -M and sampled with step dx.
+The profile equation is differenced upwind,
+
+    c (phi_{j-1} - phi_j) = dx (d phi_j - d conv_j - f(phi_j)),   phi_n = 0,
+
+and the speed equation evaluates the flux integral on the grid (c_map).
+Both form one system for (phi_0 .. phi_{n-1}, c), solved by
+Newton-Krylov (Knoll & Keyes, J. Comput. Phys. 193, 2004) with
+pseudo-transient continuation (Kelley & Keyes, SIAM J. Numer. Anal. 35,
+1998).  The convolution is affine in phi, so the Jacobian's action is
+exact in it; GMRES is preconditioned by the Jacobian without it.  The
+iteration starts from u_star_hat (1 - e^x) at the smaller of the flux
+bound and the Cauchy speed c* of the sampled kernel.  The convolution
+runs over the kernel's support window only (out to its last nonzero
+grid sample, the whole grid for unbounded P).  The domain truncation is
+corrected analytically by treating phi as the constant u_star_hat
+beyond the window, and M doubles until phi(-M) reaches the plateau.  A
+profile that rises anywhere is not a semi-wave (upwind differences
+oscillate once dx (d - f'(u_star_hat)) / c exceeds 2), and neither is
+one that still misses the plateau at M_cap: both raise NumericalError.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import solve_banded
 from scipy.optimize import brentq
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import kernels as kmod
 from .errors import NumericalError, SolvabilityError
@@ -45,12 +51,12 @@ from .kernels import RadialKernel
 from .quadrature import gl_panels, octave_integral
 from .reactions import Reaction
 
-#: Picard sweeps of a profile stop once no value moves more than this times max(u*, 1)
-TOL_PICARD = 1e-9
-#: Picard sweeps of a profile before the Newton fallback takes over
-MAX_PICARD = 1000
-#: brentq's absolute tolerance on c0, times max(1, c_lo)
-TOL_SPEED = 1e-8
+#: the solve stops once no equation misses by more than this times max(u*, 1)
+TOL_RESIDUAL = 1e-12
+#: pseudo-time steps before the solve gives up
+MAX_STEPS = 200
+#: first pseudo-time step; later ones grow as the residual falls
+DELTA0 = 100.0
 
 
 def _integral_beyond(f, y: float, support: float, panels: int):
@@ -160,7 +166,7 @@ def u_star_hat(P: Marginal1D, d: float, f: Reaction) -> float:
 
 
 class _Discretization:
-    """Grid quantities shared by every trial speed at fixed (M, dx)."""
+    """Grid quantities of one truncation window (M, dx)."""
 
     def __init__(self, prob: SemiWaveProblem, ustar: float, M: float):
         self.prob = prob
@@ -202,117 +208,19 @@ class _Discretization:
         conv += self.ustar * self.ptail
         return conv
 
-    def march(self, conv: np.ndarray, c: float, f) -> np.ndarray:
-        """Integrate c phi' = d phi - d conv - f(phi) leftward from phi(0)=0."""
-        # Python floats throughout: numpy scalars would make every step
-        # (and every f(v)) several times slower for the same IEEE products
-        d = float(self.prob.d)
-        dx_c = float(self.dx / c)
-        dconv = (d * conv).tolist()
-        cap = 2.0 * self.ustar
-        v = 0.0
-        phi = [0.0] * (self.n + 1)
-        for j in range(self.n, 0, -1):
-            v = v - dx_c * (d * v - dconv[j] - f(v))
-            if v < 0.0:
-                v = 0.0
-            elif v > cap:
-                v = cap
-            phi[j - 1] = v
-        return np.array(phi)
+    def c_star(self, fprime0: float) -> float:
+        """Cauchy speed min_lam (d (M(lam) - 1) + f'(0)) / lam of the sampled marginal.
 
-    def solve_profile(self, c: float, f: Reaction, phi0: np.ndarray) -> np.ndarray:
-        tol = TOL_PICARD * max(self.ustar, 1.0)
-        phi = phi0
-        damp = 0.5
-        prev_update = None
-        prev_norm = 0.0
-        for _ in range(MAX_PICARD):
-            # the march steps one Python float at a time: call the raw f
-            new = self.march(self.convolution(phi), c, f.f)
-            update = new - phi
-            delta = np.abs(update).max()
-            if delta < tol:
-                return new
-            norm = float(np.linalg.norm(update))
-            if prev_update is not None and prev_norm > 0.0 and norm > 0.0:
-                cos = float(prev_update @ update) / (prev_norm * norm)
-                rho = norm / prev_norm
-                if cos > 0.999 and rho < 1.0:
-                    # near the minimal wave speed the correction front creeps
-                    # with an almost constant contraction ratio; jump to the
-                    # extrapolated limit of the geometric tail
-                    damp = min(1.0 / (1.0 - rho * cos), 2000.0)
-                elif cos > 0.0:
-                    damp = min(1.5 * damp, 1.0)
-                else:
-                    damp = 0.5
-            phi = np.clip(phi + damp * update, 0.0, 2.0 * self.ustar)
-            prev_update = update
-            prev_norm = norm
-        # creeping front: Picard contracts too slowly near the minimal wave
-        # speed, so switch to Newton from a smooth initial guess
-        return self._newton_profile(
-            c, f, self.ustar * (1.0 - np.exp(self.x)), tol)
-
-    def _newton_profile(self, c: float, f: Reaction, phi0: np.ndarray,
-                        tol: float) -> np.ndarray:
-        """Damped Newton on the discrete profile equations.
-
-        Residual of the upwind recurrence for the unknowns
-        phi_0 .. phi_{n-1} (phi_n = 0 is pinned), rows j = 1 .. n:
-
-            R_j = phi_{j-1} - phi_j + (dx/c) (d phi_j - d conv_j - f(phi_j)).
+        M is the moment-generating function of the grid samples; it is
+        finite only for compact marginals, so unbounded ones give math.inf.
         """
-        n = self.n
-        if n > 3000:
-            raise NumericalError("profile iteration stalled; refine the grid")
-        d = self.prob.d
-        dx_c = self.dx / c
-        # conv_j = sum_m K[j, m] phi_m + fixed plateau/endpoint terms, with
-        # the same trapezoid weights self.convolution applies implicitly
-        idx = np.abs(np.arange(n + 1)[:, None] - np.arange(n)[None, :])
-        K = self.p_grid[idx]
-        K[:, 0] *= 0.5
-        K *= self.dx
-        eps = 1e-7 * max(self.ustar, 1.0)
-        j = np.arange(1, n + 1)
-        rows = np.arange(n)
-
-        def residual(u):
-            full = np.concatenate((u, [0.0]))
-            conv = self.convolution(full)
-            return u[j - 1] - full[j] + dx_c * (d * full[j] - d * conv[j]
-                                                - f(full[j]))
-
-        phi = phi0[:n].copy()
-        res = residual(phi)
-        for _ in range(60):
-            nrm = np.abs(res).max()
-            if nrm < tol:
-                return np.concatenate((phi, [0.0]))
-            fpj = (f(phi[j % n] + eps) - f(phi[j % n])) / eps
-            jac = -dx_c * d * K[j, :]
-            jac[rows, j - 1] += 1.0
-            on_diag = j <= n - 1
-            jac[rows[on_diag], j[on_diag]] += -1.0 + dx_c * (d - fpj[on_diag])
-            try:
-                delta = np.linalg.solve(jac, -res)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(
-                    "profile iteration stalled; refine the grid") from exc
-            step = 1.0
-            for _ in range(30):
-                trial = np.clip(phi + step * delta, 0.0, 2.0 * self.ustar)
-                trial_res = residual(trial)
-                if np.abs(trial_res).max() < nrm:
-                    phi, res = trial, trial_res
-                    break
-                step *= 0.5
-            else:
-                raise NumericalError(
-                    "profile iteration stalled; refine the grid")
-        raise NumericalError("profile iteration stalled; refine the grid")
+        if not math.isfinite(self.prob.P.support):
+            return math.inf
+        y = (np.arange(self.p_window.size) - self.reach) * self.dx
+        # lam * y stays below 50, so exp cannot overflow
+        lam = np.geomspace(1e-3, 50.0, 400) / max(self.reach * self.dx, self.dx)
+        mgf = np.exp(np.outer(lam, y)) @ self.p_window * self.dx
+        return float(((self.prob.d * (mgf - 1.0) + fprime0) / lam).min())
 
     def c_map(self, phi: np.ndarray) -> float:
         """mu int_0^inf P(y) int_{-y}^0 phi dx dy on the computed profile."""
@@ -367,43 +275,91 @@ def solve_semiwave(prob: SemiWaveProblem) -> SemiWaveSolution:
 
 def _solve_at_truncation(prob: SemiWaveProblem, disc: _Discretization,
                          ustar: float) -> SemiWaveSolution:
-    phi = ustar * (1.0 - np.exp(disc.x))
+    """One Newton-Krylov solve of the profile equations and the speed equation.
 
-    # brentq starts by evaluating the bracket ends the search below has
-    # already solved; only the values are kept, not the profiles
-    @functools.cache
-    def g(c: float) -> float:
-        nonlocal phi
-        phi = disc.solve_profile(c, prob.f, phi)
-        return c - disc.c_map(phi)
+    Unknowns u = (phi_0 .. phi_{n-1}, c), phi_n = 0; equations, j = 1 .. n,
+
+        E_j = c (phi_{j-1} - phi_j) + dx (d phi_j - d conv_j - f(phi_j)),
+        E_{n+1} = c - c_map(phi).
+
+    Each pseudo-time step solves (J + I / delta) s = -E by one GMRES cycle,
+    preconditioned by J without the convolution (an upper bidiagonal
+    matrix bordered by the speed row and column).
+    """
+    n, dx, d, f = disc.n, disc.dx, prob.d, prob.f
+    eps = 1e-7 * max(ustar, 1.0)
+
+    def fprime(u):
+        return (f(u + eps) - f(u)) / eps
 
     # c_map(phi) <= mu ustar int_0^inf y P(y) dy for any profile below the
-    # plateau, so the root lies under this bound; keeping c_hi tight also
-    # keeps the root search away from the slow region near the minimal wave
-    # speed, where phi detaches from the plateau
-    c_hi = prob.mu * ustar * prob.P.moment1 * (1.0 + 1e-6) + 1e-9
-    c_lo = min(1e-3 * c_hi, 0.1)
-    while g(c_lo) > 0.0:
-        c_lo *= 0.25
-        if c_lo < 1e-13:
-            raise NumericalError("no sign change found for the speed equation")
-    while g(c_hi) <= 0.0:
-        c_hi *= 2.0
-        if c_hi > 1e6:
-            raise NumericalError("speed upper bound violated; check P and f")
-    c0 = brentq(g, c_lo, c_hi, xtol=TOL_SPEED * max(1.0, c_lo))
-    phi = disc.solve_profile(c0, prob.f, phi)
-    return SemiWaveSolution(
-        c0=float(c0),
-        x=disc.x,
-        phi=phi,
-        u_star_hat=ustar,
-        residual_pde=disc.residual_pde(phi, c0),
-        residual_speed=abs(c0 - disc.c_map(phi)),
-        M=disc.M,
-        dx=disc.dx,
-        tail_gap=float(ustar - phi[0]),
-    )
+    # plateau; c0 also lies below the Cauchy speed c*, which is the better
+    # start when it is the smaller: above it the iteration can stall
+    c_start = min(prob.mu * ustar * prob.P.moment1 * (1.0 + 1e-6) + 1e-9,
+                  disc.c_star(f.fprime0))
+    phi, c = ustar * (1.0 - np.exp(disc.x)), c_start
+    conv0 = disc.convolution(np.zeros(n + 1))[1:]
+    dflux = prob.mu * disc.w[:n] * disc.ptail[:0:-1]  # d c_map / d phi_m
+    shape = (n + 1, n + 1)
+
+    def residual(phi, c):
+        e = c * (phi[:-1] - phi[1:]) + dx * (d * phi[1:] - d * disc.convolution(phi)[1:]
+                                             - f(phi[1:]))
+        return np.append(e, c - disc.c_map(phi))
+
+    res, delta = residual(phi, c), DELTA0
+    for _ in range(MAX_STEPS):
+        if np.abs(res).max() < TOL_RESIDUAL * max(ustar, 1.0):
+            return SemiWaveSolution(
+                c0=float(c),
+                x=disc.x,
+                phi=phi,
+                u_star_hat=ustar,
+                residual_pde=disc.residual_pde(phi, c),
+                residual_speed=abs(c - disc.c_map(phi)),
+                M=disc.M,
+                dx=disc.dx,
+                tail_gap=float(ustar - phi[0]),
+            )
+        upper = dx * (d - fprime(phi[1:])) - c  # dE_j / dphi_j
+        slope = phi[:-1] - phi[1:]  # dE_j / dc
+        banded = np.zeros((2, n))
+        banded[0, 1:] = upper[:-1]
+        banded[1] = c + 1.0 / delta
+
+        def jacobian(v):
+            w = np.append(v[:n], 0.0)
+            e = c * w[:-1] + upper * w[1:] + v[n] * slope \
+                - dx * d * (disc.convolution(w)[1:] - conv0)
+            return np.append(e, v[n] - dflux @ v[:n]) + v / delta
+
+        def precondition(r):
+            p = solve_banded((0, 1), banded, r[:n], check_finite=False)
+            s_c = (r[n] + dflux @ p) / corner
+            return np.append(p - q * s_c, s_c)
+
+        # below the upwind limit the bidiagonal solves amplify without
+        # bound; a step that overflows ends the iteration
+        with np.errstate(all="ignore"):
+            q = solve_banded((0, 1), banded, slope, check_finite=False)
+            corner = 1.0 + 1.0 / delta + dflux @ q
+            step, _ = gmres(LinearOperator(shape, jacobian), -res,
+                            M=LinearOperator(shape, precondition), restart=40, maxiter=1)
+        if not np.isfinite(step).all():
+            break
+        phi[:n] = np.clip(phi[:n] + step[:n], 0.0, 2.0 * ustar)
+        c = min(c + step[n], c_start)
+        if c <= 0.0:
+            break
+        new = residual(phi, c)
+        delta *= np.linalg.norm(res) / np.linalg.norm(new)
+        res = new
+    limit = 0.5 * dx * (d - float(fprime(ustar)))
+    if c < limit:
+        raise NumericalError(
+            f"no semi-wave at c = {c:.6g}: below the upwind limit {limit:.3g} the "
+            "profile rises; refine dx")
+    raise NumericalError("profile iteration stalled; refine the grid")
 
 
 def speed_from_kernel(kernel: RadialKernel, d: float, mu: float, f: Reaction,

@@ -282,6 +282,10 @@ def find_mu_star(cfg_template: RunConfig, mu_bracket: tuple[float, float],
     every mu and no threshold exists).  The verdict is monotone in mu,
     so plain bisection in log mu applies; Undecided runs escalate t_end.
     """
+    lo, hi = mu_bracket
+    if not (tol_mu > 0.0 and 0.0 < lo < hi):
+        raise ValueError(f"need tol_mu > 0 and 0 < mu_lo < mu_hi; got tol_mu = {tol_mu!r}, "
+                         f"mu_bracket = {mu_bracket!r}")
     cfg = cfg_template
     if cfg.reaction.fprime0 >= cfg.d:
         raise SolvabilityError("f'(0) >= d: spreading for every mu, no threshold")
@@ -305,7 +309,6 @@ def find_mu_star(cfg_template: RunConfig, mu_bracket: tuple[float, float],
                 return v
             t_end *= 2.0
 
-    lo, hi = mu_bracket
     v_lo, v_hi = verdict_for(lo), verdict_for(hi)
     if v_lo != VANISHING or v_hi != SPREADING:
         raise SolvabilityError(

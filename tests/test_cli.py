@@ -52,13 +52,18 @@ def test_bad_config_key(tmp_path):
 
 @pytest.mark.parametrize("line", [
     "N = 2.0", "N = 1", "kernel.kind = fat_tail\nkernel.beta = 2.0", "f.scale = -1",
-    "dr = 0", "u0.amplitude = -1", "dt = 0", "dt = -1"],
-    ids=["N=2.0", "N=1", "beta=2.0", "f.scale=-1", "dr=0", "amplitude=-1", "dt=0", "dt=-1"])
+    "dr = 0", "u0.amplitude = -1", "dt = 0", "dt = -1", "N = two"],
+    ids=["N=2.0", "N=1", "beta=2.0", "f.scale=-1", "dr=0", "amplitude=-1", "dt=0", "dt=-1",
+         "N=two"])
 def test_simulate_bad_value_is_config_error(tmp_path, capsys, line):
     # values the model code rejects with ValueError end in exit 66, not a traceback
     path = _cfg(tmp_path, SIM.format(out=tmp_path / "out") + line + "\n")
     assert dispatch(["simulate", "--config", path]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    if line in ("N = 2.0", "N = two"):
+        # the appended line is line 9 of the file
+        assert err.strip() == f"config error: {path}:9: bad integer {line[4:]!r}"
 
 
 def _python_m_nlfb(*args):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
+from scipy.special import iv
 
 from nlfb import (Marginal1D, NumericalError, SemiWaveProblem, SolvabilityError,
                   Reaction, cosine_bump_kernel, logistic, marginal_from_kernel,
@@ -160,19 +162,6 @@ def test_marginal_from_kernel_matches_jstar(disc2):
     assert abs(float(P(0.0)) - 2.0 / math.pi) < 1e-8
 
 
-@pytest.mark.parametrize("d, mu, c", [(1.0, 1.0, 0.12), (0.5, 10.0, 0.3)])
-def test_newton_profile_matches_picard(disc2, logistic_f, d, mu, c):
-    # the Newton fallback of solve_profile solves the same discrete equations
-    prob = SemiWaveProblem(P=marginal_from_kernel(disc2), d=d, mu=mu, f=logistic_f)
-    ustar = u_star_hat(prob.P, d, logistic_f)
-    disc = _Discretization(prob, ustar, prob.M)
-    guess = ustar * (1.0 - np.exp(disc.x))
-    picard = disc.solve_profile(c, logistic_f, guess)
-    newton = disc._newton_profile(c, logistic_f, guess,
-                                  semiwave.TOL_PICARD * max(ustar, 1.0))
-    assert np.abs(newton - picard).max() <= 1e-8
-
-
 @pytest.mark.parametrize("d", [1.0, 2.0])
 def test_rising_profile_is_rejected_in_the_first_round(monkeypatch, logistic_f, d):
     # at mu = 0.1 the root search lands where dx (d + 1) / c > 2 and the
@@ -229,7 +218,7 @@ def _discretization(P, f):
 
 
 def _reference_march(disc, conv, c, f):
-    # the march stepped with numpy scalars read from conv, one at a time
+    # the upwind recurrence solved for phi_{j-1}, one cell at a time from phi_n = 0
     d = disc.prob.d
     dx_c = disc.dx / c
     phi = np.empty(disc.n + 1)
@@ -249,18 +238,28 @@ def _reference_march(disc, conv, c, f):
 _TABULATED = tabulated([0.0, 0.25, 0.5, 1.0, 1.5, 3.0], [0.0, 0.2, 0.25, 0.0, -0.75, -6.0])
 
 
+#: c0 at d = mu = 1 from brentq over Picard profiles, the solver that the Newton-Krylov
+#: solve replaced; that solver pinned c0 to 1e-8
+_PICARD_C0 = {("uniform2d", "logistic(scale=1)"): 0.10818707920832954,
+              ("uniform3d", "logistic(scale=1)"): 0.09631034581823136,
+              ("cosbump2d", "logistic(scale=1)"): 0.07268977724055917,
+              ("uniform2d", "tabulated"): 0.10180520100511695,
+              ("uniform3d", "tabulated"): 0.09067736791991458,
+              ("cosbump2d", "tabulated"): 0.0684837384575983}
+
+
 @pytest.mark.parametrize("kernel", [uniform_kernel(2), uniform_kernel(3),
                                     cosine_bump_kernel(2)], ids=lambda k: k.label)
 @pytest.mark.parametrize("f", [logistic(), _TABULATED], ids=lambda f: f.label)
-def test_march_matches_the_numpy_scalar_reference(kernel, f):
-    disc = _discretization(marginal_from_kernel(kernel), f)
-    conv = disc.convolution(disc.ustar * (1.0 - np.exp(disc.x)))
-    clipped = False
-    for c in (0.005, 0.05, 0.108, np.float64(0.3), 2.0):
-        ref = _reference_march(disc, conv, c, f.f)
-        assert np.array_equal(disc.march(conv, c, f.f), ref), c
-        clipped |= bool((ref[:-1] == 0.0).any() and (ref == 2.0 * disc.ustar).any())
-    assert clipped  # c = 0.005 oscillates into both clips
+def test_solution_is_the_root_of_the_upwind_march(kernel, f):
+    # marching the converged convolution at c0 gives the profile back, and
+    # c0 is the value of the previous solver for the same discrete equations
+    prob = SemiWaveProblem(P=marginal_from_kernel(kernel), d=1.0, mu=1.0, f=f)
+    sol = solve_semiwave(prob)
+    disc = _Discretization(prob, sol.u_star_hat, sol.M)
+    ref = _reference_march(disc, disc.convolution(sol.phi), sol.c0, f.f)
+    assert np.abs(ref - sol.phi).max() <= 1e-8 * sol.u_star_hat
+    assert abs(sol.c0 - _PICARD_C0[kernel.label, f.label]) <= 2e-8
 
 
 def _full_grid_convolution(disc, phi):
@@ -299,22 +298,6 @@ def test_convolution_of_an_unbounded_marginal_is_the_full_grid(logistic_f, rng):
     assert np.array_equal(disc.convolution(phi), _full_grid_convolution(disc, phi))
 
 
-def test_each_trial_speed_is_solved_once(monkeypatch, disc2, logistic_f):
-    speeds = []
-    inner = _Discretization.solve_profile
-
-    def recording(self, c, f, phi0):
-        speeds.append(c)
-        return inner(self, c, f, phi0)
-
-    monkeypatch.setattr(_Discretization, "solve_profile", recording)
-    c0 = speed_from_kernel(disc2, 1.0, 1.0, logistic_f)
-    # the final solve at c0 repeats brentq's last speed on purpose: it
-    # re-solves from the last profile for the reported residuals
-    assert len(set(speeds[:-1])) == len(speeds) - 1
-    assert speeds[-1] == c0
-
-
 @pytest.mark.parametrize("d, mu, dx", [(1.0, -1.0, None), (1.0, 0.0, None),
                                        (0.0, 1.0, None), (-1.0, 1.0, None),
                                        (1.0, 1.0, 0.0), (1.0, 1.0, -0.02),
@@ -336,3 +319,40 @@ def test_dx_set_after_construction_is_checked(disc2, logistic_f):
     prob.dx = 0.0
     with pytest.raises(ValueError, match="dx = 0.0"):
         solve_semiwave(prob)
+
+
+def _c_star(mgf, d, fprime0=1.0):
+    """Cauchy speed min over lam > 0 of (d (M(lam) - 1) + f'(0)) / lam."""
+    res = minimize_scalar(lambda lam: (d * (mgf(lam) - 1.0) + fprime0) / lam,
+                          bounds=(1e-3, 50.0), method="bounded",
+                          options={"xatol": 1e-10})
+    return res.fun
+
+
+# moment-generating functions of one coordinate of a uniform point in the
+# unit disc and the unit ball: the marginals J* of the uniform kernels
+_MGF = {2: lambda lam: 2.0 * iv(1, lam) / lam,
+        3: lambda lam: 3.0 * (lam * np.cosh(lam) - np.sinh(lam)) / lam ** 3}
+_C_STAR = {(2, 0.5): 0.598912, (2, 1.0): 0.790840, (3, 0.5): 0.540439, (3, 1.0): 0.711665}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("d", [0.5, 1.0])
+def test_c0_rises_with_mu_below_the_cauchy_speed(logistic_f, dim, d):
+    # c0 < c*, the minimal speed of the Cauchy problem with kernel J*, and
+    # c0 increases strictly with mu (c0 -> c* as mu -> inf, far beyond 1e3)
+    c_star = _c_star(_MGF[dim], d)
+    assert abs(c_star - _C_STAR[dim, d]) < 1e-6
+    speeds = [speed_from_kernel(uniform_kernel(dim), d, mu, logistic_f)
+              for mu in (0.5, 1.0, 3.0, 10.0, 30.0, 50.0, 100.0, 1e3)]
+    assert np.all(np.diff(speeds) > 0.0), speeds
+    assert speeds[-1] < c_star
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("d, mu", [(0.5, 0.1), (1.0, 0.1), (2.0, 0.1), (2.0, 0.2)])
+def test_slow_fronts_are_rejected(logistic_f, dim, d, mu):
+    # too slow for dx = 0.02: near the upwind limit dx (d - f'(u*)) / 2 the
+    # discrete profile rises
+    with pytest.raises(NumericalError):
+        speed_from_kernel(uniform_kernel(dim), d, mu, logistic_f)

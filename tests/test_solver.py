@@ -330,6 +330,20 @@ def test_find_mu_star_preconditions(tables_disc2):
         find_mu_star(_cfg(d=2.0, h0=2.0), (0.01, 10.0), tables=tables_disc2)
 
 
+@pytest.mark.parametrize("mu_bracket, tol_mu", [((0.01, 10.0), 0.0), ((0.01, 10.0), -0.1),
+                                                 ((0.01, 10.0), math.nan), ((0.0, 100.0), 0.05),
+                                                 ((-1.0, 100.0), 0.05), ((10.0, 0.01), 0.05)])
+def test_find_mu_star_rejects_a_bad_bracket_or_tolerance(monkeypatch, tables_disc2,
+                                                          mu_bracket, tol_mu):
+    # tol_mu <= 0 bisected forever; lo = 0 divided by zero; lo < 0 was returned
+    calls = []
+    monkeypatch.setattr(solver, "run", lambda *args, **kwargs: calls.append(args))
+    cfg = _cfg(dr=0.05, d=2.0, h0=0.4, u0_amplitude=0.1, t_end=40.0)
+    with pytest.raises(ValueError, match="tol_mu > 0 and 0 < mu_lo < mu_hi"):
+        find_mu_star(cfg, mu_bracket, tol_mu=tol_mu, tables=tables_disc2)
+    assert calls == []
+
+
 def test_find_mu_star_brackets_threshold(tables_disc2):
     cfg = _cfg(dr=0.05, d=2.0, h0=0.4, u0_amplitude=0.1, t_end=40.0)
     res = find_mu_star(cfg, (0.01, 50.0), tol_mu=0.5, tables=tables_disc2)
