@@ -11,14 +11,13 @@ diag(r^{(N-1)/2} sqrt(w)) to obtain a symmetric nonnegative matrix S
 rho^{N-1} Jtilde(rho, r)), and finding its largest eigenvalue eta:
 lambda1 = d*eta - d + a.
 
-No n x n matrix is formed.  The kernel matrix G is read from the table
-as its diagonals |i - j| <= reach: bw + 1 for a band table (its support,
-plus the off-grid node L), the full width for a dense one.  S goes
-straight into LAPACK lower band storage; eta is the top eigenvalue
-alone from the banded symmetric eigensolver, and the eigenvector comes
-from inverse iteration with the Cholesky factor of sigma*I - S, sigma
-just above eta, so the shifted matrix is positive definite.  Matrix
-products with G run over the same band.
+No n x n matrix is formed: G is read from the table as its diagonals
+|i - j| <= reach (bw + 1 for a band table, its support plus the off-grid
+node L; the full width for a dense one), products with G run over that
+band, and S goes into LAPACK lower band storage.  For v > 0 the
+quotients (S v)_i / v_i bracket eta, the Perron root of S
+(Collatz-Wielandt); inverse iteration from v = 1, shifted just above
+the bracket so that v stays positive, runs until it closes.
 
 lambda1(L) is strictly increasing in L with limits a - d (L -> 0) and
 a (L -> infinity), which gives the threshold radius L_star when
@@ -30,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, eigvals_banded
+from scipy.linalg.blas import dsbmv
+from scipy.linalg.lapack import dpbsv
 
 from . import kernels as kmod
 from .errors import NumericalError, SolvabilityError
@@ -44,13 +44,10 @@ L_MAX = 200.0
 #: fails after MAX_SS_STEPS steps
 TOL_SS = 1e-8
 MAX_SS_STEPS = 2_000_000
-#: inverse-iteration solves for the eigenvector, and the shift above eta in units
-#: of max(1, |eta|).  Each solve shrinks the other components by about
-#: SHIFT |eta| / (eta - eta2); three reproduce the eigenfunction of a dense eigh
-#: on the same matrix to 2e-13 or better (disc, ball and cosine bump at
-#: dr = 0.05, L up to 60)
-INVERSE_STEPS = 3
-SHIFT = 1e-10
+#: lambda1's inverse iteration shifts by sigma = (1 + BRACKET_TOL) max(S v / v), and its
+#: last pass starts from min and max of S v / v within BRACKET_TOL (4 to 8 passes)
+BRACKET_TOL = 1e-12
+MAX_SHIFTS = 30
 
 
 @dataclass(frozen=True)
@@ -70,7 +67,7 @@ class EigenResult:
     lambda1: float
     nodes: np.ndarray
     eigenfunction: np.ndarray
-    iterations: int  # 1, for the one eigenvalue solve; kept for callers that read it
+    iterations: int  # factorizations of sigma*I - S, one per shifted pass
     residual: float
 
 
@@ -137,22 +134,28 @@ def _principal(p: EigenProblem, nodes, w, G) -> EigenResult:
     # nodes r > 0, as S_band[k, b - 1] = S[b + k, b].  The r = 0 node carries a
     # zero column (Jtilde(r, 0) = 0), so dropping it leaves the nonzero
     # spectrum untouched.
-    k = np.arange(min(reach, n - 2) + 1)[:, None]
-    b = np.arange(1, n)
+    k = np.arange(min(reach, n - 2) + 1)
+    b = np.arange(1, n)[:, None]
     a = np.minimum(b + k, n - 1)
     ratio = (nodes[a] / nodes[b]) ** pw
-    S = 0.5 * np.sqrt(w[a] * w[b]) * (G[a, reach - k] * ratio + G[b, reach + k] / ratio)
-    S[b + k >= n] = 0.0
-    eta = float(eigvals_banded(S, lower=True, select="i",
-                               select_range=(n - 2, n - 2))[0])  # Perron root of G diag(w)
-    lam = p.d * eta - p.d + p.a
-    shifted = -S
-    shifted[0] += eta + SHIFT * max(1.0, abs(eta))
-    chol = cholesky_banded(shifted, lower=True)
+    S = np.where(b + k < n, 0.5 * np.sqrt(w[a] * w[b])
+                 * (G[a, reach - k] * ratio + G[b, reach + k] / ratio), 0.0).T
     v = np.ones(n - 1)
-    for _ in range(INVERSE_STEPS):
-        v = cho_solve_banded((chol, True), v)
-        v /= np.abs(v).max()
+    for iterations in range(1, MAX_SHIFTS + 1):
+        q = dsbmv(S.shape[0] - 1, 1.0, S, v, lower=1) / v
+        hi, lo = q.max(), q.min()
+        shifted = -S
+        shifted[0] += (1.0 + BRACKET_TOL) * hi
+        _, v, info = dpbsv(shifted, v, lower=1, overwrite_ab=1)
+        positive = not info and np.isfinite(hi) and v.min() > 0.0
+        if not positive or hi - lo <= BRACKET_TOL * hi:
+            break
+        v /= v.max()
+    if not positive or hi - lo > BRACKET_TOL * hi:
+        raise NumericalError(f"lambda1 at L = {p.L:g}: v not positive or S v / v apart "
+                             f"by {hi - lo:.3g} after {iterations} shifted solves")
+    eta = float(v @ dsbmv(S.shape[0] - 1, 1.0, S, v, lower=1) / (v @ v))
+    lam = p.d * eta - p.d + p.a
     # unsymmetrized eigenfunction, extended to the center node
     phi = np.empty(n)
     phi[1:] = np.abs(v) / (nodes[1:] ** pw * np.sqrt(w[1:]))
@@ -163,7 +166,7 @@ def _principal(p: EigenProblem, nodes, w, G) -> EigenResult:
     conv = np.einsum("ij,ij->i", G, windows)
     resid = np.abs(p.d * conv - p.d * phi + p.a * phi - lam * phi).max()
     return EigenResult(lambda1=float(lam), nodes=nodes, eigenfunction=phi,
-                       iterations=1, residual=float(resid))
+                       iterations=iterations, residual=float(resid))
 
 
 def lambda1_sweep(d: float, a: float, L_values, tables: KernelTables) -> list[EigenResult]:

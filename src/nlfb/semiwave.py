@@ -29,9 +29,10 @@ runs over the kernel's support window only (out to its last nonzero
 grid sample, the whole grid for unbounded P).  The domain truncation is
 corrected analytically by treating phi as the constant u_star_hat
 beyond the window, and M doubles until phi(-M) reaches the plateau.  A
-profile that rises anywhere is not a semi-wave (upwind differences
-oscillate once dx (d - f'(u_star_hat)) / c exceeds 2), and neither is
-one that still misses the plateau at M_cap: both raise NumericalError.
+profile that rises anywhere is not a semi-wave, and neither is one that
+still misses the plateau at M_cap: both raise NumericalError.  Profiles
+rise below the upwind limit c = dx (d - f'(u_star_hat)) / 2, but not
+only then: cosine bump N = 2, d = 4, mu = 1 (limit 0.05) rises at c = 0.0586.
 """
 
 from __future__ import annotations

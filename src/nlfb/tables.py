@@ -104,7 +104,7 @@ class KernelTables:
     ----------
     kernel : RadialKernel
     dr : float
-        Grid step; entry (i, j) is Jtilde(i*dr, j*dr).
+        Grid step, below a compact kernel's support radius; entry (i, j) is Jtilde(i*dr, j*dr).
     """
 
     def __init__(self, kernel: RadialKernel, dr: float):
@@ -114,6 +114,9 @@ class KernelTables:
         self.dr = float(dr)
         self.banded = kernel.kind == kmod.COMPACT
         if self.banded:
+            if dr >= kernel.support_radius:
+                raise ValueError(f"dr = {dr:g} must be below the kernel's support radius "
+                                 f"{kernel.support_radius:g}")
             self.bw = int(np.ceil(kernel.support_radius / dr)) + 1
         else:
             self.bw = 0

@@ -52,9 +52,9 @@ def test_bad_config_key(tmp_path):
 
 @pytest.mark.parametrize("line", [
     "N = 2.0", "N = 1", "kernel.kind = fat_tail\nkernel.beta = 2.0", "f.scale = -1",
-    "dr = 0", "u0.amplitude = -1", "dt = 0", "dt = -1", "N = two"],
-    ids=["N=2.0", "N=1", "beta=2.0", "f.scale=-1", "dr=0", "amplitude=-1", "dt=0", "dt=-1",
-         "N=two"])
+    "dr = 0", "dr = 1.0", "dr = 1.5", "u0.amplitude = -1", "dt = 0", "dt = -1", "N = two"],
+    ids=["N=2.0", "N=1", "beta=2.0", "f.scale=-1", "dr=0", "dr=1.0", "dr=1.5", "amplitude=-1",
+         "dt=0", "dt=-1", "N=two"])
 def test_simulate_bad_value_is_config_error(tmp_path, capsys, line):
     # values the model code rejects with ValueError end in exit 66, not a traceback
     path = _cfg(tmp_path, SIM.format(out=tmp_path / "out") + line + "\n")
@@ -137,6 +137,8 @@ def test_eigen_lambda(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert -0.5 < out["lambda1"] < 0.5
     assert out["residual"] < 1e-6
+    # factorizations of the shifted inverse iteration, not a placeholder
+    assert 2 <= out["iterations"] <= 8
 
 
 def test_eigen_needs_L(tmp_path):

@@ -2,10 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvals_banded
 
-from nlfb import (EigenProblem, KernelTables, SolvabilityError, find_L_star, j_tilde_row,
-                  kernels, lambda1, lambda1_sweep, logistic, power_tail_kernel,
-                  steady_state, tabulated)
+from nlfb import (EigenProblem, KernelTables, SolvabilityError, cosine_bump_kernel,
+                  find_L_star, j_tilde_row, kernels, lambda1, lambda1_sweep, logistic,
+                  power_tail_kernel, steady_state, tabulated)
 from nlfb import eigen
 from nlfb.eigen import _assemble
 
@@ -57,6 +58,54 @@ def _dense_operator(p):
         G[1:-1, -1] = (p.L / nodes[1:-1]) ** (k.dim - 1) * G[-1, 1:-1]
         G[0, -1] = kernels.j_tilde_center(k, p.L)
     return nodes, w, G
+
+
+def _band_oracle(p):
+    """lambda1 of p from LAPACK's banded symmetric eigensolver on the same band.
+
+    S is the symmetrized operator over the nodes r > 0 in lower band storage,
+    S_band[k, b - 1] = S[b + k, b], built from the diagonals _assemble reads.
+    """
+    nodes, w, G = _assemble(p)
+    n, reach = nodes.size, G.shape[1] // 2
+    s = nodes ** (0.5 * (p.tables.kernel.dim - 1)) * np.sqrt(w)
+    S = np.zeros((min(reach, n - 2) + 1, n - 1))
+    for k in range(S.shape[0]):
+        a, b = np.arange(1 + k, n), np.arange(1, n - k)
+        S[k, :n - 1 - k] = 0.5 * (s[a] * G[a, reach - k] * w[b] / s[b]
+                                  + s[b] * G[b, reach + k] * w[a] / s[a])
+    eta = eigvals_banded(S, lower=True, select="i", select_range=(n - 2, n - 2))[0]
+    return p.d * eta - p.d + p.a
+
+
+@pytest.fixture(scope="module")
+def tables_cos2():
+    return KernelTables(cosine_bump_kernel(2), 0.05)
+
+
+@pytest.mark.parametrize("L", [0.025, 0.4, 2.013, 20.0, 60.0])
+@pytest.mark.parametrize("name", ["tables_disc2", "tables_ball3", "tables_cos2"])
+def test_lambda1_matches_banded_eigensolver(name, L, request):
+    # L = dr / 2 leaves one node r > 0; L = 60 is a 1,200-node band
+    p = EigenProblem(d=1.0, a=0.5, L=L, tables=request.getfixturevalue(name))
+    res = lambda1(p)
+    assert abs(res.lambda1 - _band_oracle(p)) <= 1e-14
+    assert res.iterations <= 8
+    assert res.residual < 1e-14
+
+
+@pytest.mark.parametrize("L", [0.125, 0.4, 2.013, 20.0, 50.0])
+def test_lambda1_matches_dense_symmetric_eigensolve(L, tables_beta28):
+    # dense beta = 2.8 table at dr = 0.25: at most 201 nodes
+    p = EigenProblem(d=1.0, a=0.5, L=L, tables=tables_beta28)
+    nodes, w, G = _dense_operator(p)
+    s = nodes[1:] ** 0.5 * np.sqrt(w[1:])  # r^{(N-1)/2} sqrt(w), N = 2
+    S = s[:, None] * G[1:, 1:] * (w[1:] / s)[None, :]
+    top = np.linalg.eigvalsh(0.5 * (S + S.T))[-1]
+    res = lambda1(p)
+    assert abs(res.lambda1 - (p.d * top - p.d + p.a)) <= 1e-14
+    assert res.iterations <= 8
+    assert res.residual < 1e-14
 
 
 def test_lambda1_matches_general_eigensolve(problem):

@@ -43,6 +43,20 @@ def test_banded_zero_outside_band(tables_disc2):
     assert _entry(tab, 80, 10) == 0.0
 
 
+@pytest.mark.parametrize("dr", [1.0, 1.5])
+def test_band_grid_must_resolve_the_support(dr):
+    # at dr >= K only the diagonal entry is live: row 0 would hold mass 0 and
+    # its tail row a NaN, and the eigen operator would be diagonal
+    with pytest.raises(ValueError, match="support radius"):
+        KernelTables(uniform_kernel(2), dr)
+
+
+def test_band_grid_just_inside_the_support():
+    # dr = 0.9 < K = 1: a neighbour column is live, so every row has mass
+    tab = KernelTables(uniform_kernel(2), 0.9)
+    assert np.all(tab.row_mass(10) > 0.0)
+
+
 def test_dense_table_values():
     k = power_tail_kernel(2, 3.5)
     tab = KernelTables(k, 0.2)
