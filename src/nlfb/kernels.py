@@ -16,10 +16,12 @@ Jtilde is evaluated through its angular representation
 which is smooth in t (the eta-substitution form has endpoint
 singularities for N = 2).  Every entry, a table's or a single pair's,
 takes the same rule: ANGULAR_ORDER Gauss-Legendre nodes on each angular
-panel.  Two cases are exact instead: r = 0, where J is constant on the
-sphere, and N = 3 when the kernel carries H(s) = int_s^inf t J(t) dt in
-closed form (tail_antiderivative, as the built-in kernels do), where
-s = chord(t) gives Jtilde(r, rho) = (2 pi rho / r) (H(|r - rho|) - H(r + rho)).
+panel.  Three cases are exact instead: r = 0, where J is constant on the
+sphere; N = 3 when the kernel carries H(s) = int_s^inf t J(t) dt in closed
+form (tail_antiderivative), where Jtilde(r, rho) = (2 pi rho / r) (H(|r - rho|)
+- H(r + rho)); and a uniform kernel of height c in any N, where Jtilde is c times
+the cap of |y| = rho inside |y - x| < K, c w_N rho^{N-1} I_x((N-1)/2, (N-1)/2) with
+x = sin^2(theta_K / 2), theta_K the support angle (I the regularized incomplete beta).
 Jstar is evaluated through
 
     Jstar(l) = w_{N-1} int_0^inf J(sqrt(l^2 + s^2)) s^{N-2} ds.
@@ -50,9 +52,8 @@ CUSTOM = "custom"
 #: exact, a table's or a single pair's.  Largest error against 40-digit mpmath
 #: at 24 (at 48 on the cosine chord before): beta = 2.8, N = 2 rows 10, 100, 499
 #: at dr = 0.25, 6.5e-16 relative (7.3e-12); cosine-bump N = 2 band rows to
-#: r = 40 at dr = 0.05, 3.6e-15 of the row maximum (1.4e-12); disc band entries
-#: exact to rounding (unchanged); off-grid pairs as lambda1's row takes them,
-#: disc, cosine bump and beta = 2.8, 3.5, 3.8e-15 relative.
+#: r = 40 at dr = 0.05, 3.6e-15 of the row maximum (1.4e-12); off-grid pairs as
+#: lambda1's row takes them, cosine bump and beta = 2.8, 3.5, 3.8e-15 relative.
 ANGULAR_ORDER = 24
 #: Gauss-Legendre order of each half panel of shell_mass
 SHELL_ORDER = 48
@@ -75,7 +76,8 @@ class RadialKernel:
     For fat-tail kernels, tail_scale is the asymptotic coefficient A in
     J(r) ~ A r^(-beta).  tail_antiderivative, when known in
     closed form, is H(s) = int_s^inf t J(t) dt (vectorized); for N = 3
-    it makes Jtilde exact.
+    it makes Jtilde exact.  uniform_height (set by uniform_kernel) is the
+    profile's value below support_radius, 0 beyond; Jtilde is then exact in any N.
     """
 
     profile: Callable[[np.ndarray], np.ndarray]
@@ -88,6 +90,7 @@ class RadialKernel:
     label: str = ""
     params: tuple = field(default_factory=tuple)
     tail_antiderivative: Callable[[np.ndarray], np.ndarray] | None = None
+    uniform_height: float | None = None
 
     def __post_init__(self):
         if self.dim < 2:
@@ -133,6 +136,7 @@ def uniform_kernel(dim: int, radius: float = 1.0) -> RadialKernel:
         label=f"uniform{dim}d",
         params=(radius,),
         tail_antiderivative=tail,
+        uniform_height=height,
     )
 
 
@@ -279,6 +283,9 @@ def validate_kernel(kernel: RadialKernel) -> ValidationReport:
         failures.append("profile takes negative values")
     if j0 <= 0.0:
         failures.append("J(0) must be positive")
+    c, beyond = kernel.uniform_height, horizon * (1.0 + probe[1:])
+    if c is not None and (np.any(vals[probe < horizon] != c) or np.any(kernel(beyond) != 0.0)):
+        failures.append(f"profile is not uniform_height = {c!r} inside the support, 0 beyond")
     norm = normalization(kernel)
     if abs(norm - 1.0) > TOL_NORM:
         failures.append(f"normalization {norm!r} deviates from 1 by more than {TOL_NORM}")
@@ -462,9 +469,9 @@ def j_tilde_row(kernel: RadialKernel, r, rho) -> np.ndarray:
     """Jtilde(r, rho) elementwise over sphere radii rho and r, a scalar or rho's shape.
 
     A scalar r gives one table row; an array r gives any set of entries in
-    one call.  Entries at r = 0 and N = 3 entries with tail_antiderivative
-    are exact; every other entry takes ANGULAR_ORDER Gauss-Legendre nodes
-    per angular panel.
+    one call.  Entries at r = 0, N = 3 entries with tail_antiderivative and
+    uniform-kernel entries are exact, in that order of precedence; every other
+    entry takes ANGULAR_ORDER Gauss-Legendre nodes per angular panel.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     r = np.zeros_like(rho) + r
@@ -480,6 +487,13 @@ def j_tilde_row(kernel: RadialKernel, r, rho) -> np.ndarray:
     if _exact_n3(kernel):
         H = kernel.tail_antiderivative
         out[pos] = 2.0 * math.pi * rp / r * (H(np.abs(r - rp)) - H(r + rp))
+        return out
+    if kernel.uniform_height is not None:
+        # c times the cap of |y| = rho inside |y - x| < K; x = sin^2(theta_K / 2)
+        K, n, d = kernel.support_radius, kernel.dim, np.abs(r - rp)
+        x = np.clip((K - d) * (K + d) / (4.0 * r * rp), 0.0, 1.0)
+        out[pos] = (kernel.uniform_height * unit_sphere_area(n) * rp ** (n - 1)
+                    * betainc(0.5 * (n - 1), 0.5 * (n - 1), x))
         return out
     if kernel.kind == COMPACT:
         K = kernel.support_radius

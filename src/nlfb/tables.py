@@ -63,13 +63,13 @@ _HEADER = struct.Struct("<id16siiii")
 #: scratch arrays to the peak memory (fat_tail_front fronts: +0.1 MB at 32
 #: rows, +0.6 MB at 64, +3.5 MB for blocks growing by 1.5x)
 WINDOW_BLOCK = 32
-#: entries per j_tilde_row call when filling band rows and dense blocks.  One
-#: call per band row pays the fixed cost for ~40 entries: 1,201 disc rows at dr =
-#: 0.05 fill in 0.12 s one row per call and in 0.033 s in blocks.  Larger blocks
-#: add the quadrature's scratch (ANGULAR_ORDER nodes per entry) to the peak memory:
-#: the compact_front fronts with h'(0) set-ups at dr = 0.0125 peak at 80.2 MB one row
-#: per call, 80.4-80.6 MB at 1,024 entries and 95.6 MB at 65,536 (256 run 30 %
-#: slower); whole dense blocks per call raised fat_tail_front's by 1.7 MB
+#: entries per j_tilde_row call when filling band rows and dense blocks.  One call
+#: per band row pays the fixed cost for ~40 entries: 1,201 cosine-bump rows at dr =
+#: 0.05 fill in 0.17 s one row per call and 0.038 s in blocks (exact disc rows: 0.047
+#: s, 0.006 s).  Larger blocks add the angular rule's scratch to the peak memory: with
+#: the disc on that rule, compact_front's h'(0) set-ups at dr = 0.0125 peaked at 80.2
+#: MB one row per call, 80.4-80.6 MB at 1,024 entries and 95.6 MB at 65,536 (256 run
+#: 30 % slower); whole dense blocks per call raised fat_tail_front's by 1.7 MB
 FILL_BLOCK = 1024
 #: dense rows per fill block; a dense table fills and stores whole blocks
 DENSE_BLOCK = 32
@@ -136,7 +136,7 @@ class KernelTables:
         return max(i - self.bw, 0), i + self.bw
 
     def _band_rows(self, start: int, stop: int) -> np.ndarray:
-        """Band rows start..stop-1 by quadrature, in one j_tilde_row call.
+        """Band rows start..stop-1 by the rule of j_tilde_row, in one call.
 
         Support is decided on the integer offset, |i - j| * dr < K, so
         entries on its edge are exactly zero rather than the angle of a

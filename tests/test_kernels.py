@@ -406,15 +406,16 @@ def test_disc_band_entries_are_the_support_angle(disc2):
 
 
 def test_disc_band_rows_evaluate_the_profile_inside_the_support(disc2):
-    # the edges stop at the support angle, so each entry takes one panel and
-    # every chord handed to the profile is within the support
+    # on the angular rule (uniform_height cleared: the disc itself takes the
+    # cap formula) the edges stop at the support angle, so each entry takes
+    # one panel and every chord handed to the profile is within the support
     chords = []
 
     def profile(s):
         chords.append(np.array(s, copy=True).ravel())
         return disc2.profile(s)
 
-    k, dr = dataclasses.replace(disc2, profile=profile), 0.05
+    k, dr = dataclasses.replace(disc2, profile=profile, uniform_height=None), 0.05
     for i in (1, 20, 800):
         rho = np.arange(max(i - 21, 1), i + 22) * dr
         chords.clear()
@@ -423,6 +424,76 @@ def test_disc_band_rows_evaluate_the_profile_inside_the_support(disc2):
         inside = np.count_nonzero(kernels._chord_angle(i * dr, rho, 1.0) > 0.0)
         assert seen.size == kernels.ANGULAR_ORDER * inside, i
         assert seen.max() <= 1.0 + 1e-12, i
+
+
+def _uniform_pairs(K=1.0, dr=0.05):
+    """(r, rho) pairs of a uniform kernel with support radius K, r a scalar or
+    rho's shape: band rows at dr, spheres wholly inside the support (r + rho
+    <= K), gaps |r - rho| just below K, and off-grid rows r = L against grid
+    columns, as lambda1's row takes them."""
+    pairs = [(i * dr, np.arange(max(i - 21, 1), i + 22) * dr) for i in (1, 10, 20, 60, 800)]
+    r = np.repeat(np.linspace(0.01, 0.9, 10) * K, 3)
+    pairs.append((r, (K - r) * np.tile([0.1, 0.5, 1.0], 10)))
+    gaps = K * (1.0 - np.array([1e-2, 1e-5, 1e-9]))
+    for r in (0.3 * K, 2.0, 41.9):
+        rho = np.concatenate((r + gaps, r - gaps))
+        pairs.append((r, rho[rho > 0.0]))
+    offsets = K * np.array([-0.93, -0.5, 0.0, 0.03, 0.48, 0.93])
+    for L in (0.37, 5.55, 7.999, 41.9):
+        rho = np.unique(np.round((L + offsets) / dr)) * dr
+        pairs.append((L, rho[rho > 0.0]))
+    return pairs
+
+
+@pytest.mark.parametrize("dim, K", [(2, 1.0), (2, 2.5), (4, 1.0), (4, 0.7)])
+def test_uniform_cap_matches_the_angular_rule(dim, K):
+    # the cap formula against the angular rule on the same kernel, and the
+    # same zeros: J is constant, so 24 nodes per panel integrate it to rounding
+    k = uniform_kernel(dim, K)
+    angular = dataclasses.replace(k, uniform_height=None)
+    assert k.uniform_height == float(k(0.0))
+    for r, rho in _uniform_pairs(K):
+        cap, ang = j_tilde_row(k, r, rho), j_tilde_row(angular, r, rho)
+        assert np.array_equal(cap == 0.0, ang == 0.0), (r, rho)
+        assert np.all(np.abs(cap - ang) <= 1e-14 * ang), (r, rho, (cap - ang) / ang)
+    whole = np.linspace(0.05, 0.45, 9) * K
+    assert np.allclose(j_tilde_row(k, 0.5 * K, whole),
+                       k.uniform_height * unit_sphere_area(dim) * whole ** (dim - 1),
+                       rtol=1e-15, atol=0.0)
+
+
+def test_uniform_cap_in_3d_matches_the_tail_antiderivative(ball3):
+    # with tail_antiderivative cleared the ball reaches the cap formula, which
+    # agrees with (2 pi rho / r)(H(|r - rho|) - H(r + rho)) to rounding of the row
+    cap = dataclasses.replace(ball3, tail_antiderivative=None)
+    for r, rho in _uniform_pairs():
+        got, exact = j_tilde_row(cap, r, rho), j_tilde_row(ball3, r, rho)
+        assert np.array_equal(got == 0.0, exact == 0.0), (r, rho)
+        assert np.all(np.abs(got - exact) <= 1e-14 * exact.max()), (r, rho)
+
+
+def test_disc_cap_matches_mpmath(disc2):
+    # the 40-digit oracle of the angular form, J = 1/pi out to the support angle
+    for r, rho in ((0.05, 0.05), (0.05, 0.9), (0.4, 0.45), (1.0, 1.95), (7.999, 7.35),
+                   (41.9, 42.83), (800 * 0.05, 799 * 0.05)):
+        exact = _jtilde2_mp_compact(lambda s: 1 / mpmath.pi, r, rho)
+        got = j_tilde(disc2, r, rho)
+        assert abs(got - exact) <= 2e-15 * exact, (r, rho, got, exact)
+
+
+def test_validation_rejects_a_profile_unlike_its_uniform_height(disc2):
+    # the cap formula reads uniform_height, not the profile: a replaced
+    # profile must be that constant below the support radius and 0 beyond
+    bump = dataclasses.replace(disc2, profile=cosine_bump_kernel(2).profile)
+    spill = dataclasses.replace(disc2, profile=lambda r: np.full_like(r, 1.0 / math.pi))
+    for k in (bump, spill):
+        report = validate_kernel(k)
+        assert math.isclose(report.normalization, 1.0)
+        assert not report.accepted
+        assert any("uniform_height" in f for f in report.failures), report.failures
+        with pytest.raises(KernelValidationError):
+            require_valid(k)
+    assert validate_kernel(dataclasses.replace(bump, uniform_height=None)).accepted
 
 
 def test_boundary_flux_compact_limit(disc2):
@@ -443,7 +514,7 @@ def test_kernel_hash_distinguishes():
     # fields that shape a table but not the profile samples
     disc = uniform_kernel(2)
     for change in (dict(support_radius=1.5), dict(breakpoints=(0.5, 1.0)),
-                   dict(tail_antiderivative=None)):
+                   dict(tail_antiderivative=None), dict(uniform_height=None)):
         assert dataclasses.replace(disc, **change).hash() != disc.hash(), change
 
 
@@ -478,7 +549,7 @@ def test_jtilde3_closed_form_matches_quad_and_angular_rule(k, r):
     exact = np.array([_jtilde3_quad(k, r, p) for p in rho])
     scale = np.abs(exact).max() if k.kind == "compact" else np.abs(exact)
     assert np.all(np.abs(got - exact) <= 1e-12 * scale)
-    angular = j_tilde_row(dataclasses.replace(k, tail_antiderivative=None),
+    angular = j_tilde_row(dataclasses.replace(k, tail_antiderivative=None, uniform_height=None),
                           r, rho)
     assert np.all(np.abs(got - angular) <= 1e-10 * scale)
 

@@ -6,7 +6,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import iv
 
 from nlfb import (Marginal1D, NumericalError, SemiWaveProblem, SolvabilityError,
-                  Reaction, cosine_bump_kernel, logistic, marginal_from_kernel,
+                  Reaction, cosine_bump_kernel, j_star, logistic, marginal_from_kernel,
                   power_tail_kernel, solve_semiwave, speed_from_kernel, tabulated,
                   uniform_kernel)
 from nlfb import semiwave
@@ -334,6 +334,20 @@ def _c_star(mgf, d, fprime0=1.0):
 _MGF = {2: lambda lam: 2.0 * iv(1, lam) / lam,
         3: lambda lam: 3.0 * (lam * np.cosh(lam) - np.sinh(lam)) / lam ** 3}
 _C_STAR = {(2, 0.5): 0.598912, (2, 1.0): 0.790840, (3, 0.5): 0.540439, (3, 1.0): 0.711665}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_j_star_moment_generating_function_matches_closed_form(dim):
+    # M(lam) = int J*(l) e^(lam l) dl over [-1, 1] with l = sin(t): the square
+    # root of the disc's J* at l = +-1 becomes cos(t), the integrand is entire
+    # in t, and 64 Gauss-Legendre nodes integrate it to rounding
+    x, w = np.polynomial.legendre.leggauss(64)
+    t = 0.5 * math.pi * x
+    marginal = j_star(uniform_kernel(dim), np.sin(t)) * np.cos(t)
+    for lam in (0.5, 2.0, 5.0):
+        got = 0.5 * math.pi * np.sum(w * marginal * np.exp(lam * np.sin(t)))
+        exact = _MGF[dim](lam)
+        assert abs(got - exact) <= 1e-14 * exact, (lam, got, exact)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

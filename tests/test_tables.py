@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import struct
 
@@ -502,8 +503,11 @@ def test_dense_front_fills_each_row_once(count_rows):
     assert count_rows["entries"] == n * (n - 1) // 2 == 496 + 1520
 
 
-@pytest.mark.parametrize("dim, beta, exact", [(3, 3.8, True), (2, 2.8, False)])
+@pytest.mark.parametrize("dim, beta, exact", [(3, 3.8, True), (2, 2.8, False),
+                                               (2, None, True), (3, None, True)])
 def test_exact_n3_tables_do_no_angular_quadrature(dim, beta, exact, monkeypatch):
+    # power tails (beta) at dr = 0.25, and the band tables of the uniform disc
+    # and ball (beta None) at dr = 0.05: the cap formula, or H for the ball
     calls = []
     inner = kernels._j_tilde_panels
 
@@ -512,7 +516,8 @@ def test_exact_n3_tables_do_no_angular_quadrature(dim, beta, exact, monkeypatch)
         return inner(*args, **kw)
 
     monkeypatch.setattr(kernels, "_j_tilde_panels", counting)
-    tab = KernelTables(power_tail_kernel(dim, beta), 0.25)
+    tab = (KernelTables(power_tail_kernel(dim, beta), 0.25) if beta
+           else KernelTables(uniform_kernel(dim), 0.05))
     tab.ensure(90, 90)
     tab.tail_mass_vector(90, 89)
     assert (len(calls) == 0) == exact
@@ -616,6 +621,17 @@ def test_cache_rejects_mismatch(tmp_path, disc2, ball3):
     tab.save(path)
     assert not KernelTables(ball3, 0.1).load(path)
     assert not KernelTables(disc2, 0.05).load(path)
+
+
+def test_cache_rejects_the_angular_disc(tmp_path, disc2):
+    # a table filled by the angular rule (uniform_height cleared) keys its file
+    # apart from the disc's, which takes the cap formula and does not adopt it
+    angular = KernelTables(dataclasses.replace(disc2, uniform_height=None), 0.1)
+    angular.ensure(10)
+    path = str(tmp_path / "t.nlfbkt")
+    angular.save(path)
+    assert not KernelTables(uniform_kernel(2), 0.1).load(path)
+    assert KernelTables(dataclasses.replace(disc2, uniform_height=None), 0.1).load(path)
 
 
 def test_cache_ignores_corrupt_file(tmp_path, disc2):
