@@ -212,7 +212,8 @@ def cmd_simulate(args) -> int:
             for rv, uv in zip(r, u):
                 fh.write(f"{_full(rv)},{_full(uv)}\n")
         manifest.add(snap_path)
-    summary = {"verdict": verdict, "h_final": float(traj.h[-1]),
+    summary = {"verdict": verdict, "rule": traj.meta.get("rule"),
+               "certificate": traj.meta.get("certificate"), "h_final": float(traj.h[-1]),
                "t_final": float(traj.t[-1]), "config_echo": cfg}
     summary_path = os.path.join(out_dir, "summary.json")
     with open(summary_path, "w", encoding="utf-8") as fh:

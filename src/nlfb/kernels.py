@@ -267,7 +267,7 @@ class ValidationReport:
 
 
 def validate_kernel(kernel: RadialKernel) -> ValidationReport:
-    """Check the admissibility conditions: sign, J(0) > 0, unit mass.
+    """Check admissibility: sign, J(0) > 0, unit mass, a compact profile 0 past its support.
 
     The finite-N-th-moment verdict is reported but is not an
     admissibility requirement (it only controls whether the spreading
@@ -283,9 +283,12 @@ def validate_kernel(kernel: RadialKernel) -> ValidationReport:
         failures.append("profile takes negative values")
     if j0 <= 0.0:
         failures.append("J(0) must be positive")
-    c, beyond = kernel.uniform_height, horizon * (1.0 + probe[1:])
-    if c is not None and (np.any(vals[probe < horizon] != c) or np.any(kernel(beyond) != 0.0)):
+    c, beyond = kernel.uniform_height, horizon * (1.0 + np.geomspace(1e-6, 1e3, 4096))
+    spill = kernel.kind == COMPACT and bool(np.any(kernel(beyond) != 0.0))
+    if c is not None and (np.any(vals[probe < horizon] != c) or spill):
         failures.append(f"profile is not uniform_height = {c!r} inside the support, 0 beyond")
+    elif spill:
+        failures.append(f"profile is not 0 beyond support_radius = {horizon!r}")
     norm = normalization(kernel)
     if abs(norm - 1.0) > TOL_NORM:
         failures.append(f"normalization {norm!r} deviates from 1 by more than {TOL_NORM}")

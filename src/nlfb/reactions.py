@@ -7,7 +7,7 @@ what the explicit time-stepping stability check needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -19,6 +19,8 @@ class Reaction:
     fprime0: float
     u_star: float
     label: str = ""
+    #: f(u) <= f'(0) u on u >= 0, set only where a constructor below proves it
+    kpp: bool = field(default=False, init=False, compare=False)
 
     def __call__(self, u):
         return self.f(np.asarray(u, dtype=float))
@@ -34,12 +36,10 @@ def logistic(scale: float = 1.0) -> Reaction:
     """f(u) = scale * u * (1 - u); f'(0) = scale, u_star = 1."""
     if scale <= 0.0:
         raise ValueError("scale must be positive")
-    return Reaction(
-        f=lambda u: scale * u * (1.0 - u),
-        fprime0=scale,
-        u_star=1.0,
-        label=f"logistic(scale={scale:g})",
-    )
+    reaction = Reaction(f=lambda u: scale * u * (1.0 - u), fprime0=scale, u_star=1.0,
+                        label=f"logistic(scale={scale:g})")
+    object.__setattr__(reaction, "kpp", True)  # scale u (1 - u) <= scale u
+    return reaction
 
 
 def tabulated(u_points, f_points) -> Reaction:
@@ -66,4 +66,8 @@ def tabulated(u_points, f_points) -> Reaction:
     def f(u):
         return np.interp(u, u_points, f_points)
 
-    return Reaction(f=f, fprime0=float(fp0), u_star=float(u_star), label="tabulated")
+    reaction = Reaction(f=f, fprime0=float(fp0), u_star=float(u_star), label="tabulated")
+    # f - f'(0) u is linear between the points and falls beyond the last one;
+    # fp0 is f_1 / u_1 itself, so the first point passes exactly
+    object.__setattr__(reaction, "kpp", bool(np.all(f_points[1:] / u_points[1:] <= fp0)))
+    return reaction

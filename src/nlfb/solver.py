@@ -20,7 +20,8 @@ update that dipped below 0.
 The explicit scheme is stable under dt * (d + Lip f) < 0.9 because the
 nonlocal operator is bounded; under that condition the update is also
 monotone in (u, h), which preserves the comparison principle at the
-discrete level.
+discrete level.  The verdicts are comparison arguments: h >= L_star spreads,
+and an upper solution on a ball, from its principal eigenpair, proves vanishing.
 """
 
 from __future__ import annotations
@@ -42,11 +43,7 @@ SPREADING = "Spreading"
 VANISHING = "Vanishing"
 UNDECIDED = "Undecided"
 
-#: the vanishing window needs h to grow slower than this times h0 per unit time
-EPS_H_FACTOR = 1e-5
-#: ... and max u to have fallen below this times u_star
-EPS_U_FACTOR = 1e-3
-#: find_mu_star doubles t_end of an Undecided run up to this times cfg.t_end
+#: find_mu_star runs each mu up to this times cfg.t_end, to its first certain check
 T_END_FACTOR = 8.0
 
 
@@ -83,8 +80,8 @@ class Trajectory:
     hdot[k] is the slope of the step that ended at t_k (h' at t_{k-1}), and
     hdot[0] = hdot[1] = h'(0); mass = |S^{N-1}| int_0^h r^{N-1} u dr, the
     solver's trapezoid rule with the boundary cell [r_m, h].  snapshots hold
-    (t, r, u) every snapshot_stride from t = 0; meta the dt, dr, L_star and
-    early-stop verdict."""
+    (t, r, u) every snapshot_stride from t = 0; u_final the last state's u;
+    meta the dt, dr, L_star, early-stop verdict and its rule (see _verdict)."""
 
     t: np.ndarray
     h: np.ndarray
@@ -94,6 +91,7 @@ class Trajectory:
     mass: np.ndarray
     snapshots: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    u_final: np.ndarray | None = None
 
 
 def initial_state(cfg: RunConfig) -> SimState:
@@ -163,9 +161,9 @@ def run(cfg: RunConfig, tables: KernelTables | None = None,
         early_stop: bool = False, L_star: float | None = None) -> Trajectory:
     """Advance the simulation to t_end; deterministic given the config.
 
-    With early_stop the run halts as soon as the final verdict is
-    certain: h has reached the threshold radius (spreading is then
-    guaranteed) or the vanishing heuristic has latched.
+    With early_stop the run halts at the first check (every 50 steps)
+    where the verdict is certain: h has reached the threshold radius
+    (spreading is then guaranteed) or an upper solution proves vanishing.
     """
     if cfg.t_end < 0.0:
         raise ValueError(f"t_end = {cfg.t_end:g} must be nonnegative")
@@ -186,7 +184,7 @@ def run(cfg: RunConfig, tables: KernelTables | None = None,
     rec = np.empty((n_steps + 1, 6))
     snapshots = []
     next_snap = 0.0 if cfg.snapshot_stride > 0 else math.inf
-    stopped = None
+    stopped, why, eig = None, {"rule": None, "certificate": None}, {}
     for k in range(n_steps + 1):
         if k:
             state = _advance(state, cfg, tables, dt, dudt, hdot)
@@ -196,33 +194,14 @@ def run(cfg: RunConfig, tables: KernelTables | None = None,
             snapshots.append((state.t, np.arange(state.u.size) * cfg.dr, state.u.copy()))
             next_snap += cfg.snapshot_stride
         if early_stop and k > 0 and k % 50 == 0:
-            verdict = _verdict(rec[:k + 1, 0], rec[:k + 1, 1], rec[:k + 1, 4], cfg, L_star)
+            verdict, why = _verdict(state.u, state.h, cfg, tables, L_star, eig)
             if verdict != UNDECIDED:
                 stopped = verdict
                 break
     rec[1:k + 1, 2] = rec[:k, 2]  # hdot[k]: the slope of the step that ended at t_k
     return Trajectory(*rec[:k + 1].T.copy(), snapshots=snapshots,
                       meta={"dt": dt, "dr": cfg.dr, "L_star": L_star,
-                            "early_verdict": stopped})
-
-
-def _vanishing_window(t: np.ndarray, h: np.ndarray, u_max: np.ndarray,
-                      cfg: RunConfig) -> bool:
-    """Heuristic: boundary stalled and the solution is uniformly tiny."""
-    if t.size < 20 or t[-1] <= 0.0:
-        return False
-    window = t >= t[-1] - 0.1 * (t[-1] - t[0])
-    if window.sum() < 3:
-        return False
-    tw, hw, uw = t[window], h[window], u_max[window]
-    span = tw[-1] - tw[0]
-    if span <= 0.0:
-        return False
-    growth_rate = (hw[-1] - hw[0]) / span
-    eps_h = EPS_H_FACTOR * cfg.h0
-    eps_u = EPS_U_FACTOR * cfg.reaction.u_star
-    return (growth_rate < eps_h and uw[-1] < eps_u
-            and uw[-1] <= uw[0] * (1.0 + 1e-12))
+                            "early_verdict": stopped, **why}, u_final=state.u)
 
 
 def classify(traj: Trajectory, cfg: RunConfig,
@@ -232,9 +211,9 @@ def classify(traj: Trajectory, cfg: RunConfig,
 
     Spreading is certified through the eigenvalue threshold: once h(t)
     reaches the radius where the principal eigenvalue of the linearized
-    operator turns nonnegative, spreading is guaranteed.  Vanishing is a
-    finite-time heuristic (stalled boundary plus uniform decay) and is
-    flagged as such in the metadata.
+    operator turns nonnegative, spreading is guaranteed.  Vanishing is
+    certified by an upper solution built on the final state (_certificate).
+    The rule behind the verdict and L_star go into traj.meta.
     """
     if traj.t.size < 20:
         raise ValueError("trajectory too short to classify (need 20 records)")
@@ -242,9 +221,12 @@ def classify(traj: Trajectory, cfg: RunConfig,
         return traj.meta["early_verdict"]
     if L_star is None:
         L_star = traj.meta.get("L_star")
+    tables = tables or KernelTables(cfg.kernel, cfg.dr)
     if L_star is None and cfg.reaction.fprime0 < cfg.d:
-        L_star = _L_star_or_inf(cfg, tables or KernelTables(cfg.kernel, cfg.dr))
-    return _verdict(traj.t, traj.h, traj.u_max, cfg, L_star)
+        L_star = _L_star_or_inf(cfg, tables)
+    verdict, why = _verdict(traj.u_final, float(traj.h[-1]), cfg, tables, L_star, {})
+    traj.meta.update(why, L_star=L_star)
+    return verdict
 
 
 def _L_star_or_inf(cfg: RunConfig, tables: KernelTables) -> float:
@@ -255,15 +237,45 @@ def _L_star_or_inf(cfg: RunConfig, tables: KernelTables) -> float:
         return math.inf
 
 
-def _verdict(t: np.ndarray, h: np.ndarray, u_max: np.ndarray, cfg: RunConfig,
-             L_star: float | None) -> str:
-    """The rule of run(early_stop=True) and classify: f'(0) >= d or h >= L_star
-    spreads (L_star is unused when f'(0) >= d), then the vanishing window."""
-    if cfg.reaction.fprime0 >= cfg.d or h.max() >= L_star:
-        return SPREADING
-    if _vanishing_window(t, h, u_max, cfg):
-        return VANISHING
-    return UNDECIDED
+def _certificate(u: np.ndarray, h: float, cfg: RunConfig, tables: KernelTables,
+                 L_star: float, eig: dict) -> dict | None:
+    """The best vanishing certificate {L, margin} of the state (u, h), or None.
+
+    At L in (h, L_star), lambda = lambda1(L) < 0 with eigenfunction phi_L; take
+    M = max u / phi_L on [0, h] and F = int_0^L r^{N-1} phi_L T(r, h) dr.  If
+    margin = -lambda (L - h) - mu M F / h^{N-1} >= 0, then M e^{lambda s} phi_L
+    on [0, L - (L - h) e^{lambda s}] is an upper solution (f(u) <= f'(0) u, and
+    T(r, .) decreases), so h stays below L.  L runs over the grid nodes nearest
+    h + {1/4, 1/2, 3/4}(L_star - h), else the midpoint; T at an off-grid L is
+    read at the next node, no smaller for a nonincreasing J.  eig caches
+    lambda1 per L for one run.
+    """
+    if not (cfg.reaction.kpp and h < L_star < math.inf):
+        return None
+    dr, pw, best = cfg.dr, cfg.kernel.dim - 1, None
+    radii = {round((h + q * (L_star - h)) / dr) * dr for q in (0.25, 0.5, 0.75)}
+    for L in [L for L in radii if h < L < L_star] or [0.5 * (h + L_star)]:
+        if L not in eig:
+            eig[L] = emod.lambda1(emod.EigenProblem(cfg.d, cfg.reaction.fprime0, L, tables))
+        lam, nodes, phi = eig[L].lambda1, eig[L].nodes, eig[L].eigenfunction
+        flux = np.trapezoid(nodes ** pw * phi * tables.tail_mass_vector(nodes.size, h / dr), nodes)
+        margin = -lam * (L - h) - cfg.mu * float(np.max(u / phi[:u.size]) * flux) / h ** pw
+        if margin >= 0.0 and (best is None or margin > best["margin"]):
+            best = {"L": L, "margin": margin}
+    return best
+
+
+def _verdict(u: np.ndarray, h: float, cfg: RunConfig, tables: KernelTables,
+             L_star: float | None, eig: dict) -> tuple[str, dict]:
+    """The rule of run(early_stop=True) and classify at the state (u, h), with
+    its name for meta: f'(0) >= d or h >= L_star spreads (L_star is unused
+    when f'(0) >= d), a certificate vanishes, else undecided."""
+    if cfg.reaction.fprime0 >= cfg.d or h >= L_star:
+        rule = "f'(0) >= d" if cfg.reaction.fprime0 >= cfg.d else "h >= L_star"
+        return SPREADING, {"rule": rule, "certificate": None}
+    cert = _certificate(u, h, cfg, tables, L_star, eig)
+    return (VANISHING if cert else UNDECIDED), {"rule": cert and "certificate",
+                                                 "certificate": cert}
 
 
 @dataclass
@@ -280,7 +292,8 @@ def find_mu_star(cfg_template: RunConfig, mu_bracket: tuple[float, float],
 
     Requires f'(0) < d and h0 < L_star (otherwise spreading happens for
     every mu and no threshold exists).  The verdict is monotone in mu,
-    so plain bisection in log mu applies; Undecided runs escalate t_end.
+    so plain bisection in log mu applies.  Each run stops at its first
+    certain check, by T_END_FACTOR * t_end at the latest.
     """
     lo, hi = mu_bracket
     if not (tol_mu > 0.0 and 0.0 < lo < hi):
@@ -299,15 +312,10 @@ def find_mu_star(cfg_template: RunConfig, mu_bracket: tuple[float, float],
     history: list = []
 
     def verdict_for(mu: float) -> str:
-        t_end = cfg.t_end
-        while True:
-            c = dataclasses.replace(cfg, mu=mu, t_end=t_end)
-            traj = run(c, tables=tables, early_stop=True, L_star=L_star)
-            v = classify(traj, c, tables=tables, L_star=L_star)
-            if v != UNDECIDED or t_end >= cfg.t_end * T_END_FACTOR:
-                history.append((mu, v))
-                return v
-            t_end *= 2.0
+        c = dataclasses.replace(cfg, mu=mu, t_end=cfg.t_end * T_END_FACTOR)
+        traj = run(c, tables=tables, early_stop=True, L_star=L_star)
+        history.append((mu, classify(traj, c, tables=tables, L_star=L_star)))
+        return history[-1][1]
 
     v_lo, v_hi = verdict_for(lo), verdict_for(hi)
     if v_lo != VANISHING or v_hi != SPREADING:

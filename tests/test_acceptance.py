@@ -215,10 +215,12 @@ def test_criterion_9_dichotomy_and_threshold(capsys, kernels2d3d, tables_ref):
     small_ok = classify(run(c_small, tables=tables_ref, early_stop=True),
                         c_small, tables=tables_ref) == VANISHING
     res = find_mu_star(cfg(h0=0.4, u0_amplitude=0.1, t_end=40.0),
-                       (0.01, 100.0), tol_mu=0.5, tables=tables_ref)
-    bracket_ok = res.mu_lo < res.mu_hi and res.mu_hi / res.mu_lo <= 1.5 + 1e-9
+                       (0.01, 100.0), tol_mu=0.01, tables=tables_ref)
+    bracket_ok = res.mu_lo < res.mu_hi and res.mu_hi / res.mu_lo <= 1.01 + 1e-9
+    # every bisection step is decided: no Undecided entry, no early return
+    decided = res.warning is None and all(v != "Undecided" for _, v in res.history)
     verdicts = dict(res.history)
-    mus = sorted(m for m, v in res.history if v != "Undecided")
+    mus = sorted(verdicts)
     seen = False
     hist_ok = True
     for m in mus:
@@ -226,11 +228,12 @@ def test_criterion_9_dichotomy_and_threshold(capsys, kernels2d3d, tables_ref):
             seen = True
         elif seen:
             hist_ok = False
-    ok = fast_ok and big_ok and small_ok and bracket_ok and hist_ok
+    ok = fast_ok and big_ok and small_ok and bracket_ok and decided and hist_ok
     _report(capsys, 9, ok,
             f"f'(0)>=d spreads {fast_ok}, h0>=L* spreads {big_ok}, tiny mu "
             f"vanishes {small_ok}, mu* in [{res.mu_lo:.3f}, {res.mu_hi:.3f}] "
-            f"with monotone history {hist_ok}")
+            f"with {len(res.history)} entries all decided {decided}, monotone "
+            f"history {hist_ok}")
 
 
 def test_criterion_10_comparison_principle(capsys, kernels2d3d, tables_ref):

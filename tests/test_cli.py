@@ -165,6 +165,26 @@ def test_simulate_outputs_and_manifest(tmp_path, capsys):
         == summary["verdict"]
 
 
+@pytest.mark.parametrize("extra, verdict, rule", [
+    ("d = 2\nmu = 0.01\nh0 = 0.4\nu0.amplitude = 0.1\ndr = 0.05\nt_end = 20\n",
+     "Vanishing", "certificate"),
+    ("d = 2\nh0 = 1.5\ndr = 0.1\nt_end = 3\n", "Spreading", "h >= L_star"),
+    ("h0 = 1.5\ndr = 0.1\nt_end = 5\n", "Spreading", "f'(0) >= d"),
+], ids=["vanishing", "past L_star", "fast reaction"])
+def test_simulate_summary_names_the_rule(tmp_path, capsys, extra, verdict, rule):
+    out = tmp_path / "out"
+    path = _cfg(tmp_path, f"kernel.kind = uniform\nN = 2\n{extra}out_dir = {out}\n")
+    assert dispatch(["simulate", "--config", path]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert json.loads(capsys.readouterr().out) == summary
+    assert (summary["verdict"], summary["rule"]) == (verdict, rule)
+    if rule == "certificate":
+        assert summary["h_final"] < summary["certificate"]["L"] < 0.7907
+        assert summary["certificate"]["margin"] >= 0.0
+    else:
+        assert summary["certificate"] is None
+
+
 def test_simulate_deterministic(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     pa = _cfg(tmp_path, SIM.format(out=out_a), "a.cfg")

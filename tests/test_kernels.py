@@ -496,6 +496,26 @@ def test_validation_rejects_a_profile_unlike_its_uniform_height(disc2):
     assert validate_kernel(dataclasses.replace(bump, uniform_height=None)).accepted
 
 
+def test_validation_rejects_a_compact_profile_with_mass_beyond_its_support(disc2, ball3):
+    # without uniform_height the probe beyond support_radius still applies:
+    # every transform stops at the support, so the spilled mass is lost
+    spill = dataclasses.replace(disc2, uniform_height=None,
+                                profile=lambda r: np.full_like(r, 1.0 / math.pi))
+    report = validate_kernel(spill)
+    assert math.isclose(report.normalization, 1.0)
+    assert not report.accepted
+    assert report.failures == ("profile is not 0 beyond support_radius = 1.0",)
+    with pytest.raises(KernelValidationError):
+        require_valid(spill)
+    # a ring of mass far outside the support is caught too
+    ring = dataclasses.replace(spill, profile=lambda r: np.where(
+        (r <= 1.0) | ((r >= 50.0) & (r <= 51.0)), 1.0 / math.pi, 0.0))
+    assert validate_kernel(ring).failures == report.failures
+    plain_disc = dataclasses.replace(disc2, uniform_height=None)
+    for k in (disc2, ball3, cosine_bump_kernel(2), cosine_bump_kernel(3), plain_disc):
+        assert validate_kernel(k).accepted, k.label
+
+
 def test_boundary_flux_compact_limit(disc2):
     # F(h) -> int_0^inf l Jstar(l) dl = 2/(3 pi) for compact kernels
     target = 2.0 / (3.0 * math.pi)

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from nlfb import logistic, tabulated
+from nlfb.reactions import Reaction
 
 
 def test_logistic_basics():
@@ -52,3 +55,18 @@ def test_reaction_vectorized():
     out = f(u)
     assert out.shape == (3,)
     assert np.allclose(out, [0.0, 0.25, 0.0])
+
+
+def test_kpp_bound_comes_from_the_reaction_itself():
+    # f(u) <= f'(0) u: closed form for logistic, the table's own points for tabulated
+    assert logistic().kpp and logistic(0.3).kpp
+    assert tabulated([0.0, 0.5, 1.0, 2.0], [0.0, 0.25, 0.0, -1.0]).kpp
+    # the chord through (0.5, 0.6) rises above f'(0) u = 0.5
+    assert not tabulated([0.0, 0.1, 0.5, 1.0], [0.0, 0.1, 0.6, 0.0]).kpp
+    with pytest.raises(TypeError):
+        Reaction(f=lambda u: u, fprime0=1.0, u_star=1.0, kpp=True)
+    with pytest.raises(ValueError):
+        dataclasses.replace(logistic(), kpp=True)
+    # a reaction built by hand, or copied with a new f, carries no proof
+    assert not Reaction(f=logistic().f, fprime0=1.0, u_star=1.0).kpp
+    assert not dataclasses.replace(logistic(), f=lambda u: 2.0 * u).kpp

@@ -333,31 +333,38 @@ def _c_star(mgf, d, fprime0=1.0):
 # unit disc and the unit ball: the marginals J* of the uniform kernels
 _MGF = {2: lambda lam: 2.0 * iv(1, lam) / lam,
         3: lambda lam: 3.0 * (lam * np.cosh(lam) - np.sinh(lam)) / lam ** 3}
-_C_STAR = {(2, 0.5): 0.598912, (2, 1.0): 0.790840, (3, 0.5): 0.540439, (3, 1.0): 0.711665}
+_C_STAR = {(2, 0.5): 0.598912, (2, 1.0): 0.790840, (3, 0.5): 0.540439, (3, 1.0): 0.711665,
+           ("cosine2", 0.5): 0.420136, ("cosine2", 1.0): 0.550034}
+
+
+def _j_star_mgf(kernel):
+    """M(lam) = int J*(l) e^(lam l) dl over [-1, 1] with l = sin(t): the square
+    root of the disc's J* at l = +-1 becomes cos(t), the integrand is entire
+    in t, and 64 Gauss-Legendre nodes integrate it to rounding."""
+    x, w = np.polynomial.legendre.leggauss(64)
+    t = 0.5 * math.pi * x
+    weights = 0.5 * math.pi * w * j_star(kernel, np.sin(t)) * np.cos(t)
+    return lambda lam: float(np.sum(weights * np.exp(lam * np.sin(t))))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_j_star_moment_generating_function_matches_closed_form(dim):
-    # M(lam) = int J*(l) e^(lam l) dl over [-1, 1] with l = sin(t): the square
-    # root of the disc's J* at l = +-1 becomes cos(t), the integrand is entire
-    # in t, and 64 Gauss-Legendre nodes integrate it to rounding
-    x, w = np.polynomial.legendre.leggauss(64)
-    t = 0.5 * math.pi * x
-    marginal = j_star(uniform_kernel(dim), np.sin(t)) * np.cos(t)
+    mgf = _j_star_mgf(uniform_kernel(dim))
     for lam in (0.5, 2.0, 5.0):
-        got = 0.5 * math.pi * np.sum(w * marginal * np.exp(lam * np.sin(t)))
-        exact = _MGF[dim](lam)
+        got, exact = mgf(lam), _MGF[dim](lam)
         assert abs(got - exact) <= 1e-14 * exact, (lam, got, exact)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("name", [2, 3, "cosine2"])
 @pytest.mark.parametrize("d", [0.5, 1.0])
-def test_c0_rises_with_mu_below_the_cauchy_speed(logistic_f, dim, d):
+def test_c0_rises_with_mu_below_the_cauchy_speed(logistic_f, name, d):
     # c0 < c*, the minimal speed of the Cauchy problem with kernel J*, and
-    # c0 increases strictly with mu (c0 -> c* as mu -> inf, far beyond 1e3)
-    c_star = _c_star(_MGF[dim], d)
-    assert abs(c_star - _C_STAR[dim, d]) < 1e-6
-    speeds = [speed_from_kernel(uniform_kernel(dim), d, mu, logistic_f)
+    # c0 increases strictly with mu (c0 -> c* as mu -> inf, far beyond 1e3);
+    # the N = 2 cosine bump has no closed-form M(lam), so _j_star_mgf gives it
+    kernel = cosine_bump_kernel(2) if name == "cosine2" else uniform_kernel(name)
+    c_star = _c_star(_MGF.get(name) or _j_star_mgf(kernel), d)
+    assert abs(c_star - _C_STAR[name, d]) < 1e-6
+    speeds = [speed_from_kernel(kernel, d, mu, logistic_f)
               for mu in (0.5, 1.0, 3.0, 10.0, 30.0, 50.0, 100.0, 1e3)]
     assert np.all(np.diff(speeds) > 0.0), speeds
     assert speeds[-1] < c_star

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlfb import (KernelTables, NumericalError, RunConfig, SimState, SolvabilityError,
-                  SPREADING, UNDECIDED, VANISHING, classify, cosine_bump_kernel,
-                  find_mu_star, logistic, power_tail_kernel, run, step,
-                  uniform_kernel, unit_sphere_area)
+from nlfb import (EigenProblem, KernelTables, NumericalError, RunConfig, SimState,
+                  SolvabilityError, SPREADING, UNDECIDED, VANISHING, classify,
+                  cosine_bump_kernel, find_mu_star, lambda1, logistic, power_tail_kernel,
+                  run, step, tabulated, uniform_kernel, unit_sphere_area)
 from nlfb import solver
 from nlfb.solver import default_dt, initial_state
 
@@ -313,6 +313,90 @@ def test_classify_vanishing_small_mu(tables_disc2):
     cfg = _cfg(dr=0.05, d=2.0, h0=0.4, u0_amplitude=0.1, mu=0.01, t_end=60.0)
     traj = run(cfg, tables=tables_disc2, early_stop=True)
     assert classify(traj, cfg, tables=tables_disc2) == VANISHING
+
+
+def _small_ball(**kw):
+    """Criterion 9's small-ball setting: L_star = 0.7907 and mu_star in (25.71, 25.95)."""
+    base = dict(dr=0.05, d=2.0, h0=0.4, u0_amplitude=0.1, t_end=80.0)
+    base.update(kw)
+    return _cfg(**base)
+
+
+@pytest.mark.parametrize("mu", [0.01, 20.0, 25.0, 25.7])
+def test_certified_run_stays_under_its_upper_solution(tables_disc2, mu):
+    # past the certificate time T: h <= L - (L - h_T) e^{lambda (t - T)} and
+    # u <= M e^{lambda (t - T)} phi_L at every step; mu = 25.7 certifies at an
+    # off-grid L, since h_T is above the last grid node 0.75 below L_star
+    cfg = _small_ball(mu=mu)
+    short = run(cfg, tables=tables_disc2, early_stop=True)
+    assert short.meta["early_verdict"] == VANISHING
+    assert short.meta["rule"] == "certificate" and short.meta["certificate"]["margin"] >= 0.0
+    L, t_T, h_T = short.meta["certificate"]["L"], short.t[-1], short.h[-1]
+    assert h_T < L < short.meta["L_star"]
+    eig = lambda1(EigenProblem(d=cfg.d, a=cfg.reaction.fprime0, L=L, tables=tables_disc2))
+    phi = eig.eigenfunction
+    M = np.max(short.u_final / phi[:short.u_final.size])
+    state = SimState(t=t_T, h=h_T, u=short.u_final.copy())
+    for _ in range(1500):
+        state, _ = step(state, cfg, tables_disc2, short.meta["dt"])
+        decay = math.exp(eig.lambda1 * (state.t - t_T))
+        assert state.h <= L - (L - h_T) * decay, state.t
+        assert np.all(state.u <= M * decay * phi[:state.u.size]), state.t
+
+
+@pytest.mark.parametrize("mu", [26.0, 27.0, 28.0, 30.0])
+def test_spreading_runs_never_certify(tables_disc2, mu):
+    # negative control: every 50-step check before h reaches L_star fails the
+    # certificate, or the early-stopped run would end Vanishing
+    cfg = _small_ball(mu=mu)
+    traj = run(cfg, tables=tables_disc2, early_stop=True)
+    assert traj.meta["early_verdict"] == SPREADING
+    assert traj.meta["rule"] == "h >= L_star" and traj.meta["certificate"] is None
+    assert traj.h[-1] >= traj.meta["L_star"]
+
+
+def test_non_kpp_reaction_is_never_certified(tables_disc2):
+    # f = 1.2 u > f'(0) u at u = 0.5: no certificate at any check, nor at t_end
+    kpp = tabulated([0.0, 0.1, 0.5, 1.0, 2.0], [0.0, 0.1, 0.25, 0.0, -1.0])
+    bump = tabulated([0.0, 0.1, 0.5, 1.0, 2.0], [0.0, 0.1, 0.6, 0.0, -1.0])
+    assert kpp.kpp and not bump.kpp and kpp.fprime0 == bump.fprime0 == 1.0
+    cfg = _small_ball(mu=0.01, reaction=kpp)
+    traj = run(cfg, tables=tables_disc2, early_stop=True)
+    assert classify(traj, cfg, tables=tables_disc2) == VANISHING
+    cfg = _small_ball(mu=0.01, reaction=bump, t_end=40.0)
+    traj = run(cfg, tables=tables_disc2, early_stop=True)
+    assert traj.meta["early_verdict"] is None and traj.u_max[-1] < 1e-3
+    assert classify(traj, cfg, tables=tables_disc2) == UNDECIDED
+    assert traj.meta["rule"] is None and traj.meta["certificate"] is None
+
+
+@pytest.mark.parametrize("kw, rule", [(dict(d=0.5), "f'(0) >= d"), (dict(h0=2.0), "h >= L_star"),
+                                      (dict(mu=0.01), "certificate"), (dict(mu=25.7), None)])
+def test_classify_records_its_rule(tables_disc2, kw, rule):
+    # a run to t_end, without early stop, is classified from its last state
+    cfg = _small_ball(t_end=40.0, **kw)
+    traj = run(cfg, tables=tables_disc2)
+    assert traj.meta["rule"] is None and traj.u_final.size == int(traj.h[-1] / cfg.dr + 1e-9) + 1
+    verdict = classify(traj, cfg, tables=tables_disc2)
+    assert traj.meta["rule"] == rule
+    assert verdict == {None: UNDECIDED, "certificate": VANISHING}.get(rule, SPREADING)
+    cert = traj.meta["certificate"]
+    assert (cert is not None) == (rule == "certificate")
+    if cert:
+        assert traj.h[-1] < cert["L"] < traj.meta["L_star"] and cert["margin"] >= 0.0
+
+
+def test_runs_next_to_mu_star_need_a_longer_t_end(tables_disc2):
+    # why find_mu_star runs to T_END_FACTOR * t_end: at t_end = 40 both ends of the 1 %
+    # bracket are Undecided; the vanishing end certifies after t = 70 and the
+    # spreading end reaches L_star after t = 110
+    for mu, verdict in ((25.7132, VANISHING), (25.9455, SPREADING)):
+        cfg = _small_ball(mu=mu, t_end=40.0)
+        assert classify(run(cfg, tables=tables_disc2, early_stop=True), cfg,
+                        tables=tables_disc2) == UNDECIDED
+        cfg = dataclasses.replace(cfg, t_end=160.0)
+        assert classify(run(cfg, tables=tables_disc2, early_stop=True), cfg,
+                        tables=tables_disc2) == verdict
 
 
 def test_classify_requires_enough_records(tables_disc2):
