@@ -13,15 +13,16 @@ lambda1 = d*eta - d + a.
 
 No n x n matrix is formed: G is read from the table as its diagonals
 |i - j| <= reach (bw + 1 for a band table, its support plus the off-grid
-node L; the full width for a dense one), products with G run over that
-band, and S goes into LAPACK lower band storage.  For v > 0 the
+node L; the full width for a dense one), products with G are one BLAS
+dgbmv on that band (tables.band_matvec), and S goes into LAPACK lower
+band storage.  For v > 0 the
 quotients (S v)_i / v_i bracket eta, the Perron root of S
 (Collatz-Wielandt); inverse iteration from v = 1, shifted just above
 the bracket so that v stays positive, runs until it closes.
 
 lambda1(L) is strictly increasing in L with limits a - d (L -> 0) and
 a (L -> infinity), which gives the threshold radius L_star when
-0 < a < d.
+0 < a < d; find_L_star keeps it with the table.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from scipy.linalg.lapack import dpbsv
 from . import kernels as kmod
 from .errors import NumericalError, SolvabilityError
 from .reactions import Reaction
-from .tables import KernelTables
+from .tables import KernelTables, band_matvec
 
 #: find_L_star's final bracket width, and the radius where its doubling search gives up
 TOL_L = 1e-4
@@ -111,16 +112,6 @@ def _assemble(p: EigenProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes, w, G
 
 
-def _windows(n: int, reach: int) -> tuple[np.ndarray, np.ndarray]:
-    """A zero buffer with v's slot pad[reach:reach + n], and its windows.
-
-    Row i of windows is v[i - reach:i + reach + 1], so G @ v is
-    einsum("ij,ij->i", G, windows) for G in diagonal rows.
-    """
-    pad = np.zeros(n + 2 * reach)
-    return pad, np.lib.stride_tricks.sliding_window_view(pad, 2 * reach + 1)
-
-
 def lambda1(p: EigenProblem) -> EigenResult:
     """Principal eigenvalue and positive radial eigenfunction on [0, L]."""
     return _principal(p, *_assemble(p))
@@ -161,9 +152,7 @@ def _principal(p: EigenProblem, nodes, w, G) -> EigenResult:
     phi[1:] = np.abs(v) / (nodes[1:] ** pw * np.sqrt(w[1:]))
     phi[0] = float(G[0, reach + 1:] @ (w * phi)[1:reach + 1]) / eta if eta > 0 else phi[1]
     phi /= phi.max()
-    pad, windows = _windows(n, reach)
-    pad[reach:reach + n] = w * phi
-    conv = np.einsum("ij,ij->i", G, windows)
+    conv = band_matvec(G, w * phi)
     resid = np.abs(p.d * conv - p.d * phi + p.a * phi - lam * phi).max()
     return EigenResult(lambda1=float(lam), nodes=nodes, eigenfunction=phi,
                        iterations=iterations, residual=float(resid))
@@ -178,17 +167,21 @@ def find_L_star(d: float, a: float, tables: KernelTables) -> tuple[float, tuple[
     """Radius where lambda1 crosses zero; requires 0 < a < d.
 
     Monotonicity of lambda1 in L makes the zero unique; plain bisection
-    after a doubling search for the sign change.
+    after a doubling search for the sign change.  The result is kept
+    with the table, once per (d, a).
     """
     if not 0.0 < a < d:
         raise SolvabilityError("L_star exists only for 0 < a < d")
+    key = ("L_star", d, a)
+    if key in tables._solved:
+        return tables._solved[key]
 
     def lam(L):
         return lambda1(EigenProblem(d=d, a=a, L=L, tables=tables)).lambda1
 
     lo = tables.dr
     if lam(lo) >= 0.0:
-        return lo, (0.0, lo)
+        return tables._solved.setdefault(key, (lo, (0.0, lo)))
     hi = 2.0 * lo
     while lam(hi) < 0.0:
         lo = hi
@@ -203,7 +196,7 @@ def find_L_star(d: float, a: float, tables: KernelTables) -> tuple[float, tuple[
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi), (lo, hi)
+    return tables._solved.setdefault(key, (0.5 * (lo + hi), (lo, hi)))
 
 
 def steady_state(L: float, d: float, reaction: Reaction,
@@ -225,13 +218,10 @@ def steady_state(L: float, d: float, reaction: Reaction,
     mass = np.ones(nodes.size)
     mass[:m + 1] = tables.row_mass(m + 1)
     G = G / mass[:, None]
-    n, reach = nodes.size, G.shape[1] // 2
-    pad, windows = _windows(n, reach)
     dt = 0.4 / (d + reaction.lipschitz(max(1.0, reaction.u_star)))
-    wvec = np.full(n, 0.5 * reaction.u_star)
+    wvec = np.full(nodes.size, 0.5 * reaction.u_star)
     for _ in range(MAX_SS_STEPS):
-        pad[reach:reach + n] = w * wvec
-        conv = np.einsum("ij,ij->i", G, windows)
+        conv = band_matvec(G, w * wvec)
         new = wvec + dt * (d * (conv - wvec) + reaction(wvec))
         delta = np.abs(new - wvec).max()
         wvec = new

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import brentq
 from scipy.sparse.linalg import LinearOperator, gmres
 
@@ -285,7 +285,7 @@ def _solve_at_truncation(prob: SemiWaveProblem, disc: _Discretization,
 
     Each pseudo-time step solves (J + I / delta) s = -E by one GMRES cycle,
     preconditioned by J without the convolution (an upper bidiagonal
-    matrix bordered by the speed row and column).
+    matrix, for LAPACK's dtbtrs, bordered by the speed row and column).
     """
     n, dx, d, f = disc.n, disc.dx, prob.d, prob.f
     eps = 1e-7 * max(ustar, 1.0)
@@ -335,14 +335,14 @@ def _solve_at_truncation(prob: SemiWaveProblem, disc: _Discretization,
             return np.append(e, v[n] - dflux @ v[:n]) + v / delta
 
         def precondition(r):
-            p = solve_banded((0, 1), banded, r[:n], check_finite=False)
+            p = dtbtrs(banded, r[:n])[0]
             s_c = (r[n] + dflux @ p) / corner
             return np.append(p - q * s_c, s_c)
 
         # below the upwind limit the bidiagonal solves amplify without
         # bound; a step that overflows ends the iteration
         with np.errstate(all="ignore"):
-            q = solve_banded((0, 1), banded, slope, check_finite=False)
+            q = dtbtrs(banded, slope)[0]
             corner = 1.0 + 1.0 / delta + dflux @ q
             step, _ = gmres(LinearOperator(shape, jacobian), -res,
                             M=LinearOperator(shape, precondition), restart=40, maxiter=1)

@@ -13,9 +13,10 @@ fractional column h / dr.  The grid only grows: nodes crossed by h are
 appended with value 0, the boundary value at crossing time.  Each state
 is evaluated once: _slopes gives both slopes and the mass from one set
 of weights, _advance is the time-stepping scheme, run records the rest.
-A step builds no grid-only array: _slopes forms w * u in place and reads
-r_i^{N-1} and |S^{N-1}| from the table, and _advance clips only an
-update that dipped below 0.
+A step builds no grid-only array: _slopes forms w * u and the slopes in
+place and reads r_i^{N-1} and |S^{N-1}| from the table; on a band table
+the flux sums only the <= 2 bw + 1 rows next to the boundary, the only
+ones with mass beyond it; _advance clips only an update that dipped below 0.
 
 The explicit scheme is stable under dt * (d + Lip f) < 0.9 because the
 nonlocal operator is bounded; under that condition the update is also
@@ -116,10 +117,14 @@ def _slopes(u: np.ndarray, h: float, cfg: RunConfig,
     wu = u * dr
     wu[0] *= 0.5
     wu[m] = (0.5 * dr + 0.5 * (h - m * dr)) * u[m]
-    conv = tables.conv(wu)
-    dudt = cfg.d * (conv - u) + np.asarray(cfg.reaction(u))
+    dudt = tables.conv(wu)  # d (conv - u) + f(u), in place
+    dudt -= u
+    dudt *= cfg.d
+    dudt += cfg.reaction.f(u)
     wu *= tables._r_power[:m + 1]  # w r^{N-1} u, for the flux and the mass
-    flux = float(np.dot(wu, tables.tail_mass_vector(m + 1, h / dr)))
+    first, tails = (tables._band_tails(m + 1, h / dr) if tables.banded
+                    else (0, tables.tail_mass_vector(m + 1, h / dr)))
+    flux = float(np.dot(wu[first:], tails))
     mass = tables._sphere_area * float(wu.sum())
     return dudt, cfg.mu / h ** (cfg.kernel.dim - 1) * flux, mass
 
@@ -127,7 +132,8 @@ def _slopes(u: np.ndarray, h: float, cfg: RunConfig,
 def _advance(state: SimState, cfg: RunConfig, tables: KernelTables, dt: float,
              dudt: np.ndarray, hdot: float) -> SimState:
     """The scheme, from state's slopes: Euler, clipped at 0, on the grown grid."""
-    u_new = state.u + dt * dudt
+    u_new = dt * dudt
+    u_new += state.u
     h_new = state.h + dt * hdot
     low = u_new.min()
     if low < 0.0:
@@ -135,7 +141,7 @@ def _advance(state: SimState, cfg: RunConfig, tables: KernelTables, dt: float,
             raise NumericalError(
                 f"scheme produced negative values ({low:g}); reduce dt or dr")
         np.clip(u_new, 0.0, None, out=u_new)
-    m_new = int(np.floor(h_new / cfg.dr + 1e-9))
+    m_new = math.floor(h_new / cfg.dr + 1e-9)
     if m_new > u_new.size - 1:
         u_new = np.concatenate((u_new, np.zeros(m_new - (u_new.size - 1))))
     return SimState(t=state.t + dt, h=float(h_new), u=u_new)
@@ -169,8 +175,7 @@ def run(cfg: RunConfig, tables: KernelTables | None = None,
         raise ValueError(f"t_end = {cfg.t_end:g} must be nonnegative")
     if cfg.dt is not None and not cfg.dt > 0.0:  # NaN fails the test too
         raise ValueError(f"dt = {cfg.dt:g} must be positive")
-    if tables is None:
-        tables = KernelTables(cfg.kernel, cfg.dr)
+    tables = tables or KernelTables(cfg.kernel, cfg.dr)
     dt = cfg.dt if cfg.dt is not None else default_dt(cfg)
     if cfg.dt is not None and cfg.dt * _stability_rate(cfg) >= 0.9:
         raise NumericalError(
@@ -184,7 +189,7 @@ def run(cfg: RunConfig, tables: KernelTables | None = None,
     rec = np.empty((n_steps + 1, 6))
     snapshots = []
     next_snap = 0.0 if cfg.snapshot_stride > 0 else math.inf
-    stopped, why, eig = None, {"rule": None, "certificate": None}, {}
+    stopped, why = None, {"rule": None, "certificate": None}
     for k in range(n_steps + 1):
         if k:
             state = _advance(state, cfg, tables, dt, dudt, hdot)
@@ -194,7 +199,7 @@ def run(cfg: RunConfig, tables: KernelTables | None = None,
             snapshots.append((state.t, np.arange(state.u.size) * cfg.dr, state.u.copy()))
             next_snap += cfg.snapshot_stride
         if early_stop and k > 0 and k % 50 == 0:
-            verdict, why = _verdict(state.u, state.h, cfg, tables, L_star, eig)
+            verdict, why = _verdict(state.u, state.h, cfg, tables, L_star)
             if verdict != UNDECIDED:
                 stopped = verdict
                 break
@@ -224,7 +229,7 @@ def classify(traj: Trajectory, cfg: RunConfig,
     tables = tables or KernelTables(cfg.kernel, cfg.dr)
     if L_star is None and cfg.reaction.fprime0 < cfg.d:
         L_star = _L_star_or_inf(cfg, tables)
-    verdict, why = _verdict(traj.u_final, float(traj.h[-1]), cfg, tables, L_star, {})
+    verdict, why = _verdict(traj.u_final, float(traj.h[-1]), cfg, tables, L_star)
     traj.meta.update(why, L_star=L_star)
     return verdict
 
@@ -238,7 +243,7 @@ def _L_star_or_inf(cfg: RunConfig, tables: KernelTables) -> float:
 
 
 def _certificate(u: np.ndarray, h: float, cfg: RunConfig, tables: KernelTables,
-                 L_star: float, eig: dict) -> dict | None:
+                 L_star: float) -> dict | None:
     """The best vanishing certificate {L, margin} of the state (u, h), or None.
 
     At L in (h, L_star), lambda = lambda1(L) < 0 with eigenfunction phi_L; take
@@ -247,17 +252,19 @@ def _certificate(u: np.ndarray, h: float, cfg: RunConfig, tables: KernelTables,
     on [0, L - (L - h) e^{lambda s}] is an upper solution (f(u) <= f'(0) u, and
     T(r, .) decreases), so h stays below L.  L runs over the grid nodes nearest
     h + {1/4, 1/2, 3/4}(L_star - h), else the midpoint; T at an off-grid L is
-    read at the next node, no smaller for a nonincreasing J.  eig caches
-    lambda1 per L for one run.
+    read at the next node, no smaller for a nonincreasing J.  The eigenpairs
+    at grid nodes are kept with the table.
     """
     if not (cfg.reaction.kpp and h < L_star < math.inf):
         return None
-    dr, pw, best = cfg.dr, cfg.kernel.dim - 1, None
+    dr, pw, best, a = cfg.dr, cfg.kernel.dim - 1, None, cfg.reaction.fprime0
     radii = {round((h + q * (L_star - h)) / dr) * dr for q in (0.25, 0.5, 0.75)}
     for L in [L for L in radii if h < L < L_star] or [0.5 * (h + L_star)]:
-        if L not in eig:
-            eig[L] = emod.lambda1(emod.EigenProblem(cfg.d, cfg.reaction.fprime0, L, tables))
-        lam, nodes, phi = eig[L].lambda1, eig[L].nodes, eig[L].eigenfunction
+        key = ("eigenpair", cfg.d, a, L)
+        eig = tables._solved.get(key) or emod.lambda1(emod.EigenProblem(cfg.d, a, L, tables))
+        if L in radii:  # grid nodes only: the grid bounds the keys
+            tables._solved[key] = eig
+        lam, nodes, phi = eig.lambda1, eig.nodes, eig.eigenfunction
         flux = np.trapezoid(nodes ** pw * phi * tables.tail_mass_vector(nodes.size, h / dr), nodes)
         margin = -lam * (L - h) - cfg.mu * float(np.max(u / phi[:u.size]) * flux) / h ** pw
         if margin >= 0.0 and (best is None or margin > best["margin"]):
@@ -266,14 +273,14 @@ def _certificate(u: np.ndarray, h: float, cfg: RunConfig, tables: KernelTables,
 
 
 def _verdict(u: np.ndarray, h: float, cfg: RunConfig, tables: KernelTables,
-             L_star: float | None, eig: dict) -> tuple[str, dict]:
+             L_star: float | None) -> tuple[str, dict]:
     """The rule of run(early_stop=True) and classify at the state (u, h), with
     its name for meta: f'(0) >= d or h >= L_star spreads (L_star is unused
     when f'(0) >= d), a certificate vanishes, else undecided."""
     if cfg.reaction.fprime0 >= cfg.d or h >= L_star:
         rule = "f'(0) >= d" if cfg.reaction.fprime0 >= cfg.d else "h >= L_star"
         return SPREADING, {"rule": rule, "certificate": None}
-    cert = _certificate(u, h, cfg, tables, L_star, eig)
+    cert = _certificate(u, h, cfg, tables, L_star)
     return (VANISHING if cert else UNDECIDED), {"rule": cert and "certificate",
                                                  "certificate": cert}
 
@@ -302,8 +309,7 @@ def find_mu_star(cfg_template: RunConfig, mu_bracket: tuple[float, float],
     cfg = cfg_template
     if cfg.reaction.fprime0 >= cfg.d:
         raise SolvabilityError("f'(0) >= d: spreading for every mu, no threshold")
-    if tables is None:
-        tables = KernelTables(cfg.kernel, cfg.dr)
+    tables = tables or KernelTables(cfg.kernel, cfg.dr)
     L_star = emod.find_L_star(cfg.d, cfg.reaction.fprime0, tables)[0]
     if cfg.h0 >= L_star:
         raise SolvabilityError(

@@ -26,10 +26,11 @@ is a stored one.
 The solver reads a table through conv (the quadrature of Jtilde * u)
 and tail_mass_vector (the tail masses beyond a boundary between columns).
 A band row gets its mass and tail row once, when it is filled or loaded,
-so a step only reads: conv uses windows of one persistent zero-padded
-buffer, and tail_mass_vector reads its two columns of <= 2*bw tail rows
-as anti-diagonals, strided views of the tail block.  The storage also
-holds the solver's radial measure |S^{N-1}| r_i^{N-1}.
+so a step only reads: conv is one BLAS dgbmv on the stored rows, which
+transposed are Fortran band storage (band_matvec), and the tails at a
+column are read from the <= 2*bw tail rows that reach it as
+anti-diagonals, strided views of the tail block (_band_tails).  The
+storage also holds the solver's radial measure |S^{N-1}| r_i^{N-1}.
 
 A table can be persisted to a small binary cache file (format v6): a
 header naming the kernel, grid and block shape, the stored block row
@@ -47,10 +48,12 @@ entries from order-48 panels on the cosine form of the chord (up to
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 
 import numpy as np
+from scipy.linalg.blas import dgbmv
 
 from . import kernels as kmod
 from .kernels import RadialKernel
@@ -93,6 +96,21 @@ def _cheb_basis(width: int) -> np.ndarray:
     return q / q.sum(axis=1, keepdims=True)
 
 
+def band_matvec(band: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """out_i = sum_k band[i, reach + k] v[i + k], 0 <= i + k < len(v), by one dgbmv.
+
+    band holds C-ordered rows as KernelTables.diagonals lays them out, so
+    band[:n].T is the Fortran band storage of A[p, i] = band[i, reach + p - i]
+    and out = A^T v.
+    """
+    n, width = v.size, band.shape[1]
+    x = v
+    if n < width:  # dgbmv wants A to have >= 2 * reach + 1 rows: zero pad v
+        x = np.zeros(width)
+        x[:n] = v
+    return dgbmv(x.size, n, width // 2, width // 2, 1.0, band[:n].T, x, trans=1)
+
+
 def cache_dir() -> str:
     return os.environ.get("NLFB_CACHE_DIR", os.path.join(".", ".nlfb_cache"))
 
@@ -121,19 +139,17 @@ class KernelTables:
         else:
             self.bw = 0
         self._rows_filled = 0
-        self._data = self._tail = self._windows = np.zeros((0, 2 * self.bw + 1))
-        self._row_mass = self._pad = np.zeros(0)
+        self._data = self._tail = np.zeros((0, 2 * self.bw + 1))
+        self._row_mass = np.zeros(0)
         #: the solver's radial measure: |S^{N-1}|, and r_i^{N-1} on the storage's
         #: rows (_r_power, built by _reserve)
         self._sphere_area = kmod.unit_sphere_area(kernel.dim)
         self._kink_corr = np.zeros(0)
         self._window_mass = np.zeros(0)
+        #: solves kept by eigen.find_L_star and solver._certificate: entries never change
+        self._solved: dict = {}
 
     # -- storage ------------------------------------------------------------
-
-    def _row_cols(self, i: int) -> tuple[int, int]:
-        """Inclusive column range of band row i."""
-        return max(i - self.bw, 0), i + self.bw
 
     def _band_rows(self, start: int, stop: int) -> np.ndarray:
         """Band rows start..stop-1 by the rule of j_tilde_row, in one call.
@@ -155,9 +171,9 @@ class KernelTables:
     def _reserve(self, n_rows: int) -> None:
         """Grow the storage, keeping its filled rows, if it holds fewer than n_rows.
 
-        Band storage, conv's padded buffer and its window view grow to max(n_rows,
-        2 * capacity + 16) rows; dense storage to max(n_rows, 1.5 * capacity +
-        16) square, rounded up to DENSE_BLOCK.  _r_power follows the capacity.
+        Band storage grows to max(n_rows, 2 * capacity + 16) rows; dense
+        storage to max(n_rows, 1.5 * capacity + 16) square, rounded up to
+        DENSE_BLOCK.  _r_power follows the capacity.
         """
         cap, start = self._data.shape[0], self._rows_filled
         if n_rows <= cap:
@@ -168,8 +184,6 @@ class KernelTables:
             for new, old in zip(grown, (self._data, self._row_mass, self._tail)):
                 new[:start] = old[:start]
             self._data, self._row_mass, self._tail = grown
-            self._pad = np.zeros(cap + 2 * self.bw)
-            self._windows = np.lib.stride_tricks.sliding_window_view(self._pad, width)
         else:
             cap = -(-max(n_rows, int(1.5 * cap) + 16) // DENSE_BLOCK) * DENSE_BLOCK
             grown = np.zeros((cap, cap))
@@ -276,11 +290,9 @@ class KernelTables:
         self.ensure(i + 1, n_cols)
         out = np.zeros(n_cols)
         if self.banded:
-            lo, hi = self._row_cols(i)
-            hi = min(hi, n_cols - 1)
+            lo, hi = max(i - self.bw, 0), min(i + self.bw, n_cols - 1)
             if hi >= lo:
-                off = i - self.bw
-                out[lo:hi + 1] = self._data[i, lo - off:hi - off + 1]
+                out[lo:hi + 1] = self._data[i, lo - i + self.bw:hi - i + self.bw + 1]
             return out
         out[:] = self._data[i, :n_cols]
         return out
@@ -350,25 +362,27 @@ class KernelTables:
         need no table and come WINDOW_BLOCK rows per call.  The
         trapezoid reads the stored row: the table is first filled to
         n + reach rows, so every window column is a stored entry, and
-        the rows filled ahead are the ones the solver reads next.
+        the rows filled ahead, the ones the solver reads next, are
+        corrected in the same call.
         """
         if self._kink_corr.size >= n:
             return self._kink_corr[:n]
         reach, dr = self._kink_reach(), self.dr
         self.ensure(n + reach)
-        while self._window_mass.size < n:
+        top = self._rows_filled - reach
+        while self._window_mass.size < top:
             ahead = self._window_mass.size + np.arange(WINDOW_BLOCK)
             mass = kmod.shell_mass(self.kernel, ahead * dr, np.maximum(ahead - reach, 0) * dr,
                                    (ahead + reach) * dr)
             self._window_mass = np.concatenate((self._window_mass, mass))
         done = self._kink_corr.size
-        rows = np.arange(done, n)[:, None]
+        rows = np.arange(done, top)[:, None]
         cols = rows + np.arange(-reach, reach + 1)
         # trapezoid weights over each window [max(0, i - reach), i + reach]
         w = np.where(cols >= 0, dr, 0.0)
         w[(cols == np.maximum(rows - reach, 0)) | (cols == rows + reach)] = 0.5 * dr
         trap = np.einsum("ij,ij->i", self._data[rows, np.maximum(cols, 0)], w)
-        self._kink_corr = np.concatenate((self._kink_corr, self._window_mass[done:n] - trap))
+        self._kink_corr = np.concatenate((self._kink_corr, self._window_mass[done:top] - trap))
         return self._kink_corr[:n]
 
     def conv(self, weighted_u: np.ndarray) -> np.ndarray:
@@ -377,17 +391,32 @@ class KernelTables:
         The caller supplies v = quadrature_weight * u; the result is the
         mass-normalized trapezoid approximation of
         int Jtilde(r_i, rho) u(rho) d rho at every grid node.  A band
-        table writes v into its persistent padded buffer and reads the
-        buffer's window view and the row masses built at fill.
+        table takes band_matvec of its stored rows over the row masses
+        built at fill.
         """
         n = weighted_u.size
         self.ensure(n, n)
         if not self.banded:
             return self._data[:n, :n] @ weighted_u
-        bw = self.bw
-        self._pad[bw:bw + n] = weighted_u
-        self._pad[bw + n:2 * bw + n] = 0.0  # a longer earlier call left values here
-        return np.einsum("ij,ij->i", self._data[:n], self._windows[:n]) / self._row_mass[:n]
+        return band_matvec(self._data, weighted_u) / self._row_mass[:n]
+
+    def _band_tails(self, n: int, j: float) -> tuple[int, np.ndarray]:
+        """first and T(r_i, j*dr) of filled band rows first <= i < n; rows i < first
+        end at or before column lo = floor(j) and leak nothing.
+
+        Column c of row i is tail entry (i, c - i + bw), flat index 2 * bw * i
+        + c + bw, so columns lo and lo + 1 are anti-diagonals.  Rows i > lo +
+        bw start right of column lo, so beyond either lies tail[i, 0].
+        """
+        lo, bw = math.floor(j + 1e-9), self.bw
+        first, last = min(max(lo - bw + 1, 0), n), min(lo + bw + 1, n)
+        s0, stop = first * 2 * bw + lo + bw, last * 2 * bw + lo + bw
+        flat = self._tail.ravel()
+        t0 = flat[s0:stop:2 * bw]
+        tails = t0 + (j - lo) * (flat[s0 + 1:stop + 1:2 * bw] - t0)
+        if last < n:
+            tails = np.concatenate((tails, self._tail[last:n, 0]))
+        return first, tails
 
     def tail_mass(self, i: int, j: float) -> float:
         """T(r_i, j*dr) of one row; see tail_mass_vector."""
@@ -405,23 +434,12 @@ class KernelTables:
         anti-diagonal of them.  Fat tails use 1 - interior - kink correction
         (the row integrates to 1 exactly).  Both are clamped to [0, 1].
         """
-        lo = int(np.floor(j + 1e-9))
-        frac = j - lo
         if self.banded:
             self.ensure(n)
-            bw = self.bw
-            # column c of row i is tail entry (i, c - i + bw), flat index
-            # 2 * bw * i + c + bw.  Rows i <= lo - bw end at or before column
-            # lo and leak nothing; rows i > lo + bw start at or right of column
-            # lo + 1, so beyond either column lies the whole row, tail[i, 0]
-            first, last = min(max(lo - bw + 1, 0), n), min(lo + bw + 1, n)
-            s0, stop = first * 2 * bw + lo + bw, last * 2 * bw + lo + bw
-            t0 = self._tail.ravel()[s0:stop:2 * bw]
-            t1 = self._tail.ravel()[s0 + 1:stop + 1:2 * bw]
-            out = np.zeros(n)
-            out[first:last] = t0 + frac * (t1 - t0)
-            out[last:] = self._tail[last:n, 0]
-            return out
+            first, tails = self._band_tails(n, j)
+            return np.concatenate((np.zeros(first), tails))
+        lo = int(np.floor(j + 1e-9))
+        frac = j - lo
         cols = np.arange(lo, lo + 1 + (frac != 0))
         rows = np.arange(n)[:, None]
         width = cols[-1] + 1

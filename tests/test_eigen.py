@@ -253,6 +253,29 @@ def test_steady_state_assembles_once(monkeypatch, tables_disc2, logistic_f):
     assert calls == [2.5]
 
 
+@pytest.mark.parametrize("L", [0.3, 1.3])
+def test_short_steady_state_matches_a_dense_march(L, tables_disc2, logistic_f):
+    # n < 2 * reach + 1 nodes, so every march step pads v for dgbmv; the same
+    # march on the dense rows over their row masses
+    tab = tables_disc2
+    n = int(round(L / tab.dr)) + 1
+    assert n < 2 * (tab.bw + 1) + 1
+    G = np.stack([tab.row_values(i, n) for i in range(n)]) / tab.row_mass(n)[:, None]
+    w = np.full(n, tab.dr)
+    w[0] = w[-1] = 0.5 * tab.dr
+    dt = 0.4 / (1.0 + logistic_f.lipschitz(1.0))
+    u = np.full(n, 0.5)
+    while True:
+        new = u + dt * ((G @ (w * u) - u) + logistic_f(u))
+        done = np.abs(new - u).max() < eigen.TOL_SS * dt
+        u = new
+        if done:
+            break
+    nodes, got = steady_state(L, 1.0, logistic_f, tab)
+    assert nodes.size == n
+    assert np.abs(got - u).max() <= 1e-12
+
+
 def test_steady_state_positive_for_tabulated_reaction(tables_disc2):
     # a Newton solve from u_star / 2 fell to u = 0 on this case; the march
     # must reach the positive state

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import minimize_scalar
 from scipy.special import iv
 
@@ -368,6 +370,19 @@ def test_c0_rises_with_mu_below_the_cauchy_speed(logistic_f, name, d):
               for mu in (0.5, 1.0, 3.0, 10.0, 30.0, 50.0, 100.0, 1e3)]
     assert np.all(np.diff(speeds) > 0.0), speeds
     assert speeds[-1] < c_star
+
+
+def test_triangular_band_solve_matches_solve_banded(rng):
+    # the preconditioner's upper bidiagonal systems by dtbtrs, without a
+    # factorization, give solve_banded's bits
+    n = 700
+    band = np.zeros((2, n))
+    band[0, 1:] = rng.uniform(-1.0, 0.0, n - 1)
+    band[1] = rng.uniform(0.5, 2.0, n)
+    b = rng.uniform(-1.0, 1.0, n)
+    x, info = dtbtrs(band, b)
+    assert info == 0
+    assert np.array_equal(x, solve_banded((0, 1), band, b, check_finite=False))
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from nlfb import (EigenProblem, KernelTables, NumericalError, RunConfig, SimState,
                   SolvabilityError, SPREADING, UNDECIDED, VANISHING, classify,
-                  cosine_bump_kernel, find_mu_star, lambda1, logistic, power_tail_kernel,
-                  run, step, tabulated, uniform_kernel, unit_sphere_area)
+                  cosine_bump_kernel, find_L_star, find_mu_star, lambda1, logistic,
+                  power_tail_kernel, run, step, tabulated, uniform_kernel, unit_sphere_area)
 from nlfb import solver
 from nlfb.solver import default_dt, initial_state
 
@@ -397,6 +397,54 @@ def test_runs_next_to_mu_star_need_a_longer_t_end(tables_disc2):
         cfg = dataclasses.replace(cfg, t_end=160.0)
         assert classify(run(cfg, tables=tables_disc2, early_stop=True), cfg,
                         tables=tables_disc2) == verdict
+
+
+def _trajectories_equal(a, b):
+    return (all(np.array_equal(getattr(a, f), getattr(b, f))
+                for f in ("t", "h", "hdot", "u_center", "u_max", "mass", "u_final"))
+            and a.meta == b.meta)
+
+
+def test_run_on_a_shared_table_equals_a_fresh_table_run(disc2):
+    # a longer earlier run leaves filled rows and kept eigen solves behind; a
+    # small-ball run (n < 2 bw + 1) and its certificate read them bit for bit
+    # as a fresh table would give them
+    shared = KernelTables(disc2, 0.05)
+    run(_cfg(dr=0.05, h0=4.0, t_end=20.0), tables=shared)
+    for mu in (0.01, 27.0):
+        cfg = _small_ball(mu=mu)
+        first = run(cfg, tables=shared, early_stop=True)
+        again = run(cfg, tables=shared, early_stop=True)
+        fresh = run(cfg, tables=KernelTables(disc2, 0.05), early_stop=True)
+        assert first.meta["early_verdict"] == (VANISHING if mu < 1.0 else SPREADING)
+        assert _trajectories_equal(first, fresh) and _trajectories_equal(again, fresh)
+
+
+def test_find_mu_star_solves_each_eigenproblem_once_per_table(monkeypatch, disc2):
+    # L_star from the caller's table, and certificate eigenpairs at grid nodes
+    # once per table: a second bisection solves only off-grid radii
+    tab = KernelTables(disc2, 0.05)
+    L_star = find_L_star(2.0, 1.0, tab)[0]
+    solved = []
+    inner = solver.emod.lambda1
+
+    def counting(p):
+        solved.append(p.L)
+        return inner(p)
+
+    monkeypatch.setattr(solver.emod, "lambda1", counting)
+
+    def on_grid(L):
+        return abs(L / 0.05 - round(L / 0.05)) < 1e-9
+
+    cfg = _small_ball(t_end=40.0)
+    res = find_mu_star(cfg, (0.01, 100.0), tol_mu=0.5, tables=tab)
+    first = [L for L in solved if on_grid(L)]
+    assert first and len(first) == len(set(first)) and max(first) < L_star
+    del solved[:]
+    again = find_mu_star(cfg, (0.01, 100.0), tol_mu=0.5, tables=tab)
+    assert not any(on_grid(L) for L in solved)
+    assert (again.mu_lo, again.mu_hi, again.history) == (res.mu_lo, res.mu_hi, res.history)
 
 
 def test_classify_requires_enough_records(tables_disc2):

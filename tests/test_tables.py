@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import struct
 
@@ -233,12 +234,41 @@ def test_conv_matches_dense_matvec(tables_disc2):
 
 
 def test_conv_after_a_longer_call_matches_fresh_table(disc2):
-    # sweep and find_mu_star reuse one table while n shrinks: the padded
-    # buffer must not carry values past the shorter vector
+    # sweep and find_mu_star reuse one table while n shrinks: conv must read
+    # nothing past the shorter vector
     v = np.random.default_rng(5).uniform(0.0, 1.0, 120)
     shared = KernelTables(disc2, 0.05)
     shared.conv(v)
     assert np.array_equal(shared.conv(v[:50]), KernelTables(disc2, 0.05).conv(v[:50]))
+
+
+def _row_by_row_conv(tab, v):
+    """conv(v) by rows: each row_values . v summed exactly, over the row mass."""
+    n = v.size
+    mass = tab.row_mass(n)
+    return np.array([math.fsum(tab.row_values(i, n) * v) / mass[i] for i in range(n)])
+
+
+@pytest.mark.parametrize("kernel", [uniform_kernel(2), uniform_kernel(3),
+                                    cosine_bump_kernel(2)], ids=["disc", "ball", "cosine"])
+@pytest.mark.parametrize("after_longer", [False, True])
+def test_band_conv_matches_row_trapezoid(kernel, after_longer):
+    # v = w * u for the trapezoid weights w, so conv(v) is the row-by-row
+    # trapezoid of row_values * u over the row mass; n < 2 bw + 1 goes through
+    # band_matvec's zero padding, on a fresh table and right after a longer call
+    tab = KernelTables(kernel, 0.05)
+    bw = tab.bw
+    rng = np.random.default_rng(11)
+    for n in (1, 2, bw, 2 * bw, 2 * bw + 1, 2 * bw + 2, 3 * bw):
+        if after_longer:
+            tab.conv(rng.uniform(0.5, 1.0, 2 * bw))
+        w = np.full(n, tab.dr)
+        w[0] = w[-1] = 0.5 * tab.dr
+        v = w * rng.uniform(0.0, 1.0, n)
+        expect = _row_by_row_conv(tab, v)
+        got = tab.conv(v)
+        assert got.shape == (n,)
+        assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max(), n
 
 
 def test_band_steps_do_no_table_work(disc2, count_rows, monkeypatch):
@@ -573,6 +603,24 @@ def test_kink_corrections_grow_row_by_row():
         step.tail_mass_vector(n, n - 1)
     once.ensure(70)
     assert np.abs(step._kink_corrections(70) - once._kink_corrections(70)).max() <= 1e-15
+
+
+def test_kink_corrections_come_once_per_filled_block():
+    # a front that grows a row at a time corrects every row whose window is
+    # filled when it first asks, and then reads them until the next block
+    tab = KernelTables(power_tail_kernel(2, 2.8), 0.25)
+    reach = tab._kink_reach()
+    tab.tail_mass_vector(10, 9)
+    assert tab.rows_filled == 32
+    corr = tab._kink_corr
+    assert corr.size == 32 - reach
+    for n in range(11, 33 - reach):
+        tab.tail_mass_vector(n, n - 1)
+    assert tab._kink_corr is corr
+    tab.tail_mass_vector(33 - reach, 32 - reach)
+    assert tab.rows_filled == 64
+    assert tab._kink_corr.size == 64 - reach
+    assert np.array_equal(tab._kink_corr[:corr.size], corr)
 
 
 def test_dense_cache_restores_kink_corrections(tmp_path, count_rows):
