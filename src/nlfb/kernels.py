@@ -13,15 +13,18 @@ Jtilde is evaluated through its angular representation
     Jtilde(r, rho) = w_{N-1} rho^{N-1} int_0^pi (sin t)^{N-2} J(chord(t)) dt,
     chord(t)^2 = (r - rho)^2 + 4 r rho sin^2(t/2)  (= r^2 + rho^2 - 2 r rho cos t),
 
-which is smooth in t (the eta-substitution form has endpoint
-singularities for N = 2).  Every entry, a table's or a single pair's,
-takes the same rule: ANGULAR_ORDER Gauss-Legendre nodes on each angular
-panel.  Three cases are exact instead: r = 0, where J is constant on the
-sphere; N = 3 when the kernel carries H(s) = int_s^inf t J(t) dt in closed
-form (tail_antiderivative), where Jtilde(r, rho) = (2 pi rho / r) (H(|r - rho|)
-- H(r + rho)); and a uniform kernel of height c in any N, where Jtilde is c times
-the cap of |y| = rho inside |y - x| < K, c w_N rho^{N-1} I_x((N-1)/2, (N-1)/2) with
-x = sin^2(theta_K / 2), theta_K the support angle (I the regularized incomplete beta).
+which is smooth in t (the eta-substitution form has endpoint singularities
+for N = 2).  Every entry, a table's or a single pair's, takes the same rule:
+ANGULAR_ORDER Gauss-Legendre nodes on each angular panel.  Unbounded kernels
+without breakpoints share one ladder of edges e_k = pi 4^-k, an entry's panels
+[0, e_K], [e_K, e_{K-1}], ..., [e_1, pi] from the largest e_K within the width of
+its angular peak, so sin^2(t/2) and sin(t)^(N-2) are tabulated once; others split
+at their support angle and breakpoints.  Three cases are exact instead: r = 0,
+where J is constant on the sphere; N = 3 when the kernel carries H(s) = int_s^inf
+t J(t) dt in closed form (tail_antiderivative), where Jtilde(r, rho) = (2 pi rho
+/ r) (H(|r - rho|) - H(r + rho)); and a uniform kernel of height c in any N, c times
+the cap of |y| = rho inside |y - x| < K, c w_N rho^{N-1} I_x((N-1)/2, (N-1)/2), x =
+sin^2(theta_K / 2), theta_K the support angle (I the regularized incomplete beta).
 Jstar is evaluated through
 
     Jstar(l) = w_{N-1} int_0^inf J(sqrt(l^2 + s^2)) s^{N-2} ds.
@@ -35,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -48,15 +52,16 @@ COMPACT = "compact"
 FAT_TAIL = "fat_tail"
 CUSTOM = "custom"
 
-#: Gauss-Legendre order per angular panel of every Jtilde entry that is not
-#: exact, a table's or a single pair's.  Largest error against 40-digit mpmath
-#: at 24 (at 48 on the cosine chord before): beta = 2.8, N = 2 rows 10, 100, 499
-#: at dr = 0.25, 6.5e-16 relative (7.3e-12); cosine-bump N = 2 band rows to
-#: r = 40 at dr = 0.05, 3.6e-15 of the row maximum (1.4e-12); off-grid pairs as
-#: lambda1's row takes them, cosine bump and beta = 2.8, 3.5, 3.8e-15 relative.
+#: Gauss-Legendre order per angular panel of every Jtilde entry that is not exact,
+#: a table's or a single pair's.  Largest error against 40-digit mpmath at 24 on the
+#: ladder (48 on the cosine chord before): beta = 2.8, 3.5, N = 2 rows at dr = 0.05-0.25
+#: and pairs at r = 1e3, 1e5 to |r - rho| = 0.001, 1.1e-15 relative (7.3e-12); cosine
+#: N = 2 band rows, 3.7e-15 of the row maximum; off-grid pairs of lambda1, 3.7e-15.
 ANGULAR_ORDER = 24
 #: Gauss-Legendre order of each half panel of shell_mass
 SHELL_ORDER = 48
+#: edges pi 4^-k, k = 40..0, of the fixed angular ladder of unbounded kernels, ascending
+_LADDER = math.pi * 0.25 ** np.arange(40, -1, -1)
 #: largest deviation of the kernel's mass from 1 that validate_kernel accepts
 TOL_NORM = 1e-6
 
@@ -408,53 +413,66 @@ def _theta_breaks(kernel: RadialKernel, r, rho: np.ndarray) -> np.ndarray:
     return np.sort(np.stack(cols, axis=1), axis=1)
 
 
-def _fat_theta_edges(r, rho: np.ndarray) -> np.ndarray:
-    """Angular edges graded toward theta = 0 for unbounded-support kernels.
+def _ladder_start(r, rho: np.ndarray) -> np.ndarray:
+    """Index into _LADDER of each entry's first edge, the largest at or below its scale.
 
     J(chord(theta)) peaks at theta = 0 with width theta0 = (1 + |r - rho|) /
     (1 + sqrt(r rho)), the chord being ~ sqrt((r - rho)^2 + r rho theta^2).
-    Edges 0, theta0, 4 theta0, ... capped at pi keep a fixed node density
-    per octave of the peak, so far entries (wide peaks) take few panels;
-    repeated pi edges are empty panels, which _j_tilde_panels skips.
-
     The chord vanishes at theta ~ +-i |r - rho| / sqrt(r rho), a branch point
     of J(chord) unless J is even in the chord.  Where that is within theta0 / 5,
-    the edges start at 5 times its distance instead (power tails at |r - rho| =
-    0.05 and 0.001 were 1e-10 and 1e-6 off); pairs |r - rho| >= 0.25 keep theirs.
+    the scale is 5 times its distance instead (power tails at |r - rho| = 0.05
+    and 0.001 were 1e-10 and 1e-6 off); pairs |r - rho| >= 0.25 keep theta0.
     """
     gap, root = np.abs(r - rho), np.sqrt(r * rho)
-    theta0 = (1.0 + gap) / (1.0 + root)
-    near = 5.0 * gap / root
-    cols = [np.zeros_like(rho)]
+    theta0, near = (1.0 + gap) / (1.0 + root), 5.0 * gap / root
     scale = np.where((near > 0.0) & (near < theta0), near, theta0)
-    for _ in range(40):
-        cols.append(np.minimum(scale, math.pi))
-        if np.all(scale >= math.pi):
-            break
-        scale = scale * 4.0
-    return np.stack(cols, axis=1)
+    return np.maximum(np.searchsorted(_LADDER, scale, side="right") - 1, 0)
+
+
+@lru_cache(maxsize=8)
+def _ladder_panels(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """sin^2(t/2) at the nodes of the ladder's panels, and the node weights times
+    sin(t)^(N-2), one column per panel: its 40 rungs, then [0, e] for each edge e of _LADDER."""
+    x, gw = gl_rule(ANGULAR_ORDER)
+    lo = np.concatenate((_LADDER[:-1], np.zeros_like(_LADDER)))
+    half = 0.5 * (np.concatenate((_LADDER[1:], _LADDER)) - lo)
+    t = lo + half * (x[:, None] + 1.0)
+    return np.sin(0.5 * t) ** 2, half * gw[:, None] * np.sin(t) ** (n - 2)
 
 
 def _j_tilde_panels(kernel: RadialKernel, r, rho: np.ndarray,
-                    edges: np.ndarray) -> np.ndarray:
-    # One panel at a time, over its live rows (b > a) only: in the benchmark's
-    # fat_tail_front (seeds 1-3, 2-vCPU VM) all panels at once raised
-    # peak RSS from 87.0-87.2 to 88.4-88.7 MB and wall_s from 0.53-0.64 s to
-    # 0.75-0.97 s.
+                    edges: np.ndarray | None = None) -> np.ndarray:
+    # One panel at a time, over its live entries only: all at once raised fat_tail_front's
+    # peak RSS from 87.0-87.2 to 88.4-88.7 MB and wall_s from 0.53-0.64 s to 0.75-0.97 s
+    # (seeds 1-3, 2-vCPU VM).  edges: per entry, or None for the fixed ladder's nodes.
     n = kernel.dim
-    x, gw = gl_rule(ANGULAR_ORDER)
     gap2, span = (r - rho) ** 2, 4.0 * r * rho
     acc = np.zeros_like(rho)
-    for p in range(edges.shape[1] - 1):
-        live = np.flatnonzero(edges[:, p + 1] > edges[:, p])
-        a = edges[live, p]
-        half = 0.5 * (edges[live, p + 1] - a)
-        t = a[:, None] + half[:, None] * (x[None, :] + 1.0)
-        # chord^2 = (r - rho)^2 + 4 r rho sin^2(t/2), without cancellation near t = 0
-        vals = kernel(np.sqrt(gap2[live, None] + span[live, None] * np.sin(0.5 * t) ** 2))
-        if n > 2:
-            vals = vals * np.sin(t) ** (n - 2)
-        acc[live] += half * (vals @ gw)
+
+    def add(live, s2, w):
+        # chord^2 = (r - rho)^2 + 4 r rho sin^2(t/2), without cancellation near t = 0;
+        # s2 and w hold one row per node, and one column per entry or one for all
+        vals = kernel(np.sqrt(s2 * span[live] + gap2[live]))
+        acc[live] += w @ vals if w.ndim == 1 else np.einsum("ij,ij->j", w, vals)
+
+    if edges is None:
+        # entries in order of their first edge, so that each rung's are a prefix
+        first = _ladder_start(r, rho)
+        order = np.argsort(first, kind="stable")
+        first, gap2, span, (s2, w) = first[order], gap2[order], span[order], _ladder_panels(n)
+        add(slice(None), s2[:, first - _LADDER.size], w[:, first - _LADDER.size])
+        for k in range(first[0], _LADDER.size - 1):
+            add(slice(np.searchsorted(first, k, "right")), s2[:, k, None], w[:, k])
+        acc[order] = acc.copy()
+    else:
+        x, gw = gl_rule(ANGULAR_ORDER)
+        for p in range(edges.shape[1] - 1):
+            live = np.flatnonzero(edges[:, p + 1] > edges[:, p])
+            a = edges[live, p]
+            half = 0.5 * (edges[live, p + 1] - a)
+            t = a + half * (x[:, None] + 1.0)
+            add(live, np.sin(0.5 * t) ** 2,
+                half * gw[:, None] * (np.sin(t) ** (n - 2) if n > 2 else 1.0))
     return unit_sphere_area(n - 1) * rho ** (n - 1) * acc
 
 
@@ -498,22 +516,17 @@ def j_tilde_row(kernel: RadialKernel, r, rho) -> np.ndarray:
         out[pos] = (kernel.uniform_height * unit_sphere_area(n) * rp ** (n - 1)
                     * betainc(0.5 * (n - 1), 0.5 * (n - 1), x))
         return out
+    edges = None
     if kernel.kind == COMPACT:
-        K = kernel.support_radius
-        reach = np.abs(rp - r) < K
-        if not np.any(reach):
-            return out
-        vals = np.zeros_like(rp)
-        r, rr = r[reach], rp[reach]
-        # J = 0 beyond the support angle: the edges stop there
-        edges = np.minimum(_theta_breaks(kernel, r, rr), _chord_angle(r, rr, K)[:, None])
-        vals[reach] = _j_tilde_panels(kernel, r, rr, edges)
-        out[pos] = vals
-        return out
-    edges = _fat_theta_edges(r, rp)
-    if kernel.breakpoints:
-        edges = np.sort(np.concatenate(
-            (edges, _theta_breaks(kernel, r, rp)), axis=1), axis=1)
+        # pairs within reach of the support; J = 0 beyond the support angle: the edges stop there
+        reach = np.abs(rp - r) < kernel.support_radius
+        r, rp, pos[pos] = r[reach], rp[reach], reach
+        edges = np.minimum(_theta_breaks(kernel, r, rp),
+                           _chord_angle(r, rp, kernel.support_radius)[:, None])
+    elif kernel.breakpoints:
+        first = _ladder_start(r, rp)
+        edges = np.sort(np.concatenate((np.maximum(_LADDER[first.min():], _LADDER[first, None]),
+                                        _theta_breaks(kernel, r, rp)), axis=1), axis=1)
     out[pos] = _j_tilde_panels(kernel, r, rp, edges)
     return out
 

@@ -32,17 +32,18 @@ column are read from the <= 2*bw tail rows that reach it as
 anti-diagonals, strided views of the tail block (_band_tails).  The
 storage also holds the solver's radial measure |S^{N-1}| r_i^{N-1}.
 
-A table can be persisted to a small binary cache file (format v6): a
+A table can be persisted to a small binary cache file (format v7): a
 header naming the kernel, grid and block shape, the stored block row
 by row (band rows of width 2*bw + 1, or dense rows over the columns
 below rows_filled, a multiple of DENSE_BLOCK), then the dense kink
 corrections.  save() writes a temporary file and renames it into place;
-load() validates the whole file before adopting anything.  v3 to v6 keep
+load() validates the whole file before adopting anything.  v3 to v7 keep
 the v2 layout under new tags, so stale numbers are not reused: v2 N = 3
 rows came from angular quadrature (~1e-13 off exact), v3 kink
 corrections from a graded angular rule (up to ~4e-10 off), v4 angular
 entries from order-48 panels on the cosine form of the chord (up to
-~7e-12 off), and v5 dense files hold any number of rows.
+~7e-12 off), v5 dense files hold any number of rows, and v6 fat-tail
+entries came from per-entry angular edges (up to ~1.5e-15 apart).
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from scipy.linalg.blas import dgbmv
 from . import kernels as kmod
 from .kernels import RadialKernel
 
-MAGIC = b"NLFBKT6\x00"
+MAGIC = b"NLFBKT7\x00"
 #: dim, dr, kernel hash, rows, banded flag, stored row width, kink corrections
 _HEADER = struct.Struct("<id16siiii")
 #: dense rows per shell_mass call for the kink-correction window masses.  One
@@ -438,20 +439,20 @@ class KernelTables:
             self.ensure(n)
             first, tails = self._band_tails(n, j)
             return np.concatenate((np.zeros(first), tails))
-        lo = int(np.floor(j + 1e-9))
-        frac = j - lo
+        lo = math.floor(j + 1e-9)
+        frac, dr = j - lo, self.dr
         cols = np.arange(lo, lo + 1 + (frac != 0))
-        rows = np.arange(n)[:, None]
-        width = cols[-1] + 1
-        self.ensure(n, width)
-        # trapezoid weights over [0, c*dr], one column per bracketing c
-        w = np.where(np.arange(width)[:, None] <= cols, self.dr, 0.0)
-        w[0] = 0.5 * self.dr
-        w[cols, np.arange(cols.size)] = 0.5 * self.dr
-        interior = self._data[:n, :width] @ w
+        self.ensure(n, cols[-1] + 1)
+        data, reach = self._data[:n], self._kink_reach()
+        w = np.full(lo + 1, dr)  # trapezoid weights over [0, lo*dr]
+        w[[0, lo]] = 0.5 * dr
+        interior = data[:, :lo + 1] @ w
+        if frac:  # column lo + 1 adds one trapezoid to column lo's
+            interior = np.column_stack((interior, interior + dr / 2 * data[:, lo:lo + 2].sum(1)))
         # the part of the peak-window defect that lies inside [0, c*dr]
-        ramp = np.clip((cols - rows) / self._kink_reach(), 0.0, 1.0)
-        tails = np.clip(1.0 - interior - self._kink_corrections(n)[:, None] * ramp, 0.0, 1.0)
+        ramp = np.minimum(np.maximum((cols - np.arange(n)[:, None]) / reach, 0.0), 1.0)
+        tails = 1.0 - interior.reshape(n, -1) - self._kink_corrections(n)[:, None] * ramp
+        tails = np.minimum(np.maximum(tails, 0.0), 1.0)
         return tails[:, 0] + frac * (tails[:, -1] - tails[:, 0])
 
     # -- persistence ----------------------------------------------------------
@@ -528,7 +529,8 @@ class KernelTables:
         else:
             self._data[:n, :n] = block
             self._rows_filled = n
-        self._kink_corr = corr
+        # loaded rows keep their corrections; window masses are needed past them only
+        self._kink_corr, self._window_mass = corr, np.full(corr.size, np.nan)
         return True
 
     def cache_path(self) -> str:

@@ -362,6 +362,18 @@ def test_fat_tail_fine_grid_entries_match_mpmath(beta):
         assert np.all(np.abs(got - exact) <= 1e-14 * exact), (dr, i, (got - exact) / exact)
 
 
+@pytest.mark.parametrize("beta", [2.8, 3.5])
+@pytest.mark.parametrize("r", [1e3, 1e5])
+def test_fat_tail_pairs_at_large_radii_match_mpmath(beta, r):
+    # peaks of angular width ~1 / r, and at |r - rho| = 0.001 a branch point
+    # of the chord ~1e-6 / r off the angular axis
+    k, profile = power_tail_kernel(2, beta), _mp_power_profile(beta)
+    for rho in r + np.array([-0.001, 0.0, 3.0, -r / 2]):
+        got = j_tilde(k, r, rho)
+        exact = float(_jtilde2_mp(profile, r, rho))
+        assert abs(got - exact) <= 1e-14 * exact, (rho, got, exact)
+
+
 def test_cosine_bump_band_rows_match_mpmath():
     # every band column of N = 2 rows to r = 40 at dr = 0.05
     k, dr, profile = cosine_bump_kernel(2), 0.05, _mp_cosine_profile()
@@ -571,7 +583,7 @@ def test_jtilde3_closed_form_matches_quad_and_angular_rule(k, r):
     assert np.all(np.abs(got - exact) <= 1e-12 * scale)
     angular = j_tilde_row(dataclasses.replace(k, tail_antiderivative=None, uniform_height=None),
                           r, rho)
-    assert np.all(np.abs(got - angular) <= 1e-10 * scale)
+    assert np.all(np.abs(got - angular) <= 1e-12 * scale)
 
 
 def test_cosine_bump_tail_antiderivative_near_support_edge():

@@ -568,6 +568,16 @@ def test_run_equals_a_loop_of_steps(monkeypatch, kernel, dr, h0):
         assert np.array_equal(u, s.u)
 
 
+def test_accelerated_front_h_final_is_pinned():
+    # the first run of acceptance criterion 8 (beta = 2.8, N = 2, dense table):
+    # the dense fill, kink corrections and tail vectors end to end.  A change
+    # that moves h(100) beyond 1e-12 relative must update the pin on purpose
+    pin = 315.6690019059819
+    traj = run(RunConfig(kernel=power_tail_kernel(2, 2.8), d=1.0, mu=1.0, reaction=logistic(),
+                         h0=20.0, u0=lambda r: 1.0 - (r / 20.0) ** 8, dr=0.25, t_end=100.0))
+    assert abs(traj.h[-1] - pin) <= 1e-12 * pin, repr(traj.h[-1])
+
+
 @pytest.mark.parametrize("dim, dr", [(2, 0.05), (3, 0.1)])
 def test_mass_is_the_trapezoid_of_the_profile(dim, dr):
     # |S^{N-1}| int_0^h r^{N-1} u dr with the boundary cell [r_m, h], u(h) = 0

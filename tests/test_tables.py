@@ -498,6 +498,21 @@ def test_cache_rejects_v5_file(tmp_path):
     assert fresh.rows_filled == 0
 
 
+def test_cache_rejects_v6_file(tmp_path):
+    # v6 shares the v7 layout, but its fat-tail entries came from per-entry
+    # angular edges instead of the fixed ladder (up to ~1.5e-15 apart)
+    tab = KernelTables(power_tail_kernel(2, 2.8), 0.25)
+    tab.tail_mass_vector(10, 9)
+    path = str(tmp_path / "v6.nlfbkt")
+    tab.save(path)
+    with open(path, "r+b") as fh:
+        fh.write(b"NLFBKT6\x00")
+    fresh = KernelTables(power_tail_kernel(2, 2.8), 0.25)
+    assert not fresh.load(path)
+    assert fresh.rows_filled == 0
+    assert fresh._kink_corr.size == 0
+
+
 def test_cache_rejects_dense_rows_off_the_block(tmp_path):
     # a dense file holds whole 32-row blocks; 40 rows are refused
     k = power_tail_kernel(2, 2.8)
@@ -638,6 +653,30 @@ def test_dense_cache_restores_kink_corrections(tmp_path, count_rows):
     assert fresh._kink_corrections(40).tobytes() == tab._kink_corrections(40).tobytes()
     assert fresh.row_values(7, 40).tobytes() == tab.row_values(7, 40).tobytes()
     assert count_rows["calls"] == before
+
+
+def test_loaded_dense_table_takes_window_masses_for_new_rows_only(tmp_path, monkeypatch):
+    # 56 corrections saved; 80 rows need 88, so rows 56..87 are new: one block of 32
+    k = power_tail_kernel(2, 3.5)
+    tab = KernelTables(k, 0.25)
+    tab.tail_mass_vector(40, 39)
+    assert tab._kink_corr.size == 56
+    path = str(tmp_path / "t.nlfbkt")
+    tab.save(path)
+    fresh = KernelTables(k, 0.25)
+    assert fresh.load(path)
+    rows = []
+    inner = kernels.shell_mass
+
+    def counting(kernel, r, a, b):
+        rows.append(np.size(r))
+        return inner(kernel, r, a, b)
+
+    monkeypatch.setattr(kernels, "shell_mass", counting)
+    tail = fresh.tail_mass_vector(80, 79)
+    assert sum(rows) == 32
+    monkeypatch.undo()
+    assert np.array_equal(tail, KernelTables(k, 0.25).tail_mass_vector(80, 79))
 
 
 @pytest.mark.parametrize("dense", [False, True])
