@@ -215,14 +215,11 @@ def steady_state(L: float, d: float, reaction: Reaction,
     # normalize rows by the discrete full-line kernel mass so the march
     # cannot equilibrate above u_star through quadrature bias
     m = int(np.floor(L / tables.dr + 1e-9))
-    mass = np.ones(nodes.size)
-    mass[:m + 1] = tables.row_mass(m + 1)
-    G = G / mass[:, None]
+    G[:m + 1] /= tables.row_mass(m + 1)[:, None]
     dt = 0.4 / (d + reaction.lipschitz(max(1.0, reaction.u_star)))
     wvec = np.full(nodes.size, 0.5 * reaction.u_star)
-    for _ in range(MAX_SS_STEPS):
-        conv = band_matvec(G, w * wvec)
-        new = wvec + dt * (d * (conv - wvec) + reaction(wvec))
+    for _ in range(MAX_SS_STEPS):  # the solver's update: dt (d conv + f) + (1 - dt d) v
+        new = band_matvec(G, w * wvec, dt * d, dt, reaction.f(wvec)) + (1.0 - dt * d) * wvec
         delta = np.abs(new - wvec).max()
         wvec = new
         if delta < TOL_SS * dt:

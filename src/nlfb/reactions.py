@@ -2,7 +2,8 @@
 
 A reaction f satisfies f(0) = 0 < f'(0), has a unique positive zero
 u_star, and f(u) < 0 for u > u_star.  The lipschitz bound on [0, M] is
-what the explicit time-stepping stability check needs.
+what the explicit time-stepping stability check needs.  f(u) returns a
+new array, into which the explicit update is accumulated.
 """
 
 from __future__ import annotations

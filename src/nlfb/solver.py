@@ -11,12 +11,12 @@ boundary value u(h) = 0 is exact), and T(r, h) = int_h^inf Jtilde(r, rho) d rho
 the kernel mass leaking beyond the boundary, read from the table at the
 fractional column h / dr.  The grid only grows: nodes crossed by h are
 appended with value 0, the boundary value at crossing time.  Each state
-is evaluated once: _slopes gives both slopes and the mass from one set
-of weights, _advance is the time-stepping scheme, run records the rest.
-A step builds no grid-only array: _slopes forms w * u and the slopes in
-place and reads r_i^{N-1} and |S^{N-1}| from the table; on a band table
-the flux sums only the <= 2 bw + 1 rows next to the boundary, the only
-ones with mass beyond it; _advance clips only an update that dipped below 0.
+is evaluated once: _slopes gives the Euler update, dh/dt and the mass from
+one set of weights, _advance clips an update that dipped below 0 and grows
+the grid, run records the rest.  A step builds no grid-only array: the
+update is conv(w * u, dt d, dt, f(u)) + (1 - dt d) u, one BLAS call into
+f(u)'s array; r_i^{N-1} and |S^{N-1}| come from the table, and a band flux
+sums only the <= 2 bw + 1 rows next to the boundary, the only ones leaking.
 
 The explicit scheme is stable under dt * (d + Lip f) < 0.9 because the
 nonlocal operator is bounded; under that condition the update is also
@@ -107,9 +107,9 @@ def initial_state(cfg: RunConfig) -> SimState:
     return SimState(t=0.0, h=float(cfg.h0), u=np.clip(u, 0.0, None))
 
 
-def _slopes(u: np.ndarray, h: float, cfg: RunConfig,
-            tables: KernelTables) -> tuple[np.ndarray, float, float]:
-    """du/dt, dh/dt and the mass |S^{N-1}| int_0^h r^{N-1} u dr of one state."""
+def _slopes(u: np.ndarray, h: float, cfg: RunConfig, tables: KernelTables,
+            dt: float) -> tuple[np.ndarray, float, float]:
+    """One state's Euler update u + dt (d (conv - u) + f(u)), unclipped, dh/dt and mass."""
     m = u.size - 1
     dr = cfg.dr
     # w * u for the trapezoid weights w on [0, h]: dr at the nodes, halved at
@@ -117,23 +117,20 @@ def _slopes(u: np.ndarray, h: float, cfg: RunConfig,
     wu = u * dr
     wu[0] *= 0.5
     wu[m] = (0.5 * dr + 0.5 * (h - m * dr)) * u[m]
-    dudt = tables.conv(wu)  # d (conv - u) + f(u), in place
-    dudt -= u
-    dudt *= cfg.d
-    dudt += cfg.reaction.f(u)
+    # dt d conv + dt f(u), accumulated into f(u) by one BLAS call, then (1 - dt d) u
+    u_new = tables.conv(wu, dt * cfg.d, dt, cfg.reaction.f(u))
+    u_new += (1.0 - dt * cfg.d) * u
     wu *= tables._r_power[:m + 1]  # w r^{N-1} u, for the flux and the mass
     first, tails = (tables._band_tails(m + 1, h / dr) if tables.banded
                     else (0, tables.tail_mass_vector(m + 1, h / dr)))
     flux = float(np.dot(wu[first:], tails))
     mass = tables._sphere_area * float(wu.sum())
-    return dudt, cfg.mu / h ** (cfg.kernel.dim - 1) * flux, mass
+    return u_new, cfg.mu / h ** (cfg.kernel.dim - 1) * flux, mass
 
 
-def _advance(state: SimState, cfg: RunConfig, tables: KernelTables, dt: float,
-             dudt: np.ndarray, hdot: float) -> SimState:
-    """The scheme, from state's slopes: Euler, clipped at 0, on the grown grid."""
-    u_new = dt * dudt
-    u_new += state.u
+def _advance(state: SimState, cfg: RunConfig, dt: float, u_new: np.ndarray,
+             hdot: float) -> SimState:
+    """The step from state's update and slope: u_new clipped at 0, in place, on the grown grid."""
     h_new = state.h + dt * hdot
     low = u_new.min()
     if low < 0.0:
@@ -150,8 +147,8 @@ def _advance(state: SimState, cfg: RunConfig, tables: KernelTables, dt: float,
 def step(state: SimState, cfg: RunConfig, tables: KernelTables,
          dt: float) -> tuple[SimState, float]:
     """One explicit step; returns (new state, hdot at the old time)."""
-    dudt, hdot, _ = _slopes(state.u, state.h, cfg, tables)
-    return _advance(state, cfg, tables, dt, dudt, hdot), hdot
+    u_new, hdot, _ = _slopes(state.u, state.h, cfg, tables, dt)
+    return _advance(state, cfg, dt, u_new, hdot), hdot
 
 
 def _stability_rate(cfg: RunConfig) -> float:
@@ -192,8 +189,8 @@ def run(cfg: RunConfig, tables: KernelTables | None = None,
     stopped, why = None, {"rule": None, "certificate": None}
     for k in range(n_steps + 1):
         if k:
-            state = _advance(state, cfg, tables, dt, dudt, hdot)
-        dudt, hdot, mass = _slopes(state.u, state.h, cfg, tables)
+            state = _advance(state, cfg, dt, u_new, hdot)
+        u_new, hdot, mass = _slopes(state.u, state.h, cfg, tables, dt)
         rec[k] = state.t, state.h, hdot, state.u[0], state.u.max(), mass
         if state.t >= next_snap - 1e-12:
             snapshots.append((state.t, np.arange(state.u.size) * cfg.dr, state.u.copy()))

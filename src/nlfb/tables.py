@@ -25,11 +25,11 @@ is a stored one.
 
 The solver reads a table through conv (the quadrature of Jtilde * u)
 and tail_mass_vector (the tail masses beyond a boundary between columns).
-A band row gets its mass and tail row once, when it is filled or loaded,
-so a step only reads: conv is one BLAS dgbmv on the stored rows, which
-transposed are Fortran band storage (band_matvec), and the tails at a
-column are read from the <= 2*bw tail rows that reach it as
-anti-diagonals, strided views of the tail block (_band_tails).  The
+A band row is divided by its mass, and gets its tail row, once, when it
+is filled or loaded, so a step only reads: conv is one accumulating BLAS
+dgbmv on the divided rows, transposed Fortran band storage (band_matvec),
+and the tails at a column are read from the <= 2*bw tail rows that reach
+it as anti-diagonals, strided views of the tail block (_band_tails).  The
 storage also holds the solver's radial measure |S^{N-1}| r_i^{N-1}.
 
 A table can be persisted to a small binary cache file (format v7): a
@@ -97,8 +97,10 @@ def _cheb_basis(width: int) -> np.ndarray:
     return q / q.sum(axis=1, keepdims=True)
 
 
-def band_matvec(band: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """out_i = sum_k band[i, reach + k] v[i + k], 0 <= i + k < len(v), by one dgbmv.
+def band_matvec(band: np.ndarray, v: np.ndarray, alpha: float = 1.0, beta: float = 0.0,
+                y: np.ndarray | None = None) -> np.ndarray:
+    """alpha * out + beta * y, out_i = sum_k band[i, reach + k] v[i + k] over
+    0 <= i + k < len(v), by one dgbmv; y, when given, is overwritten, as in BLAS.
 
     band holds C-ordered rows as KernelTables.diagonals lays them out, so
     band[:n].T is the Fortran band storage of A[p, i] = band[i, reach + p - i]
@@ -109,7 +111,9 @@ def band_matvec(band: np.ndarray, v: np.ndarray) -> np.ndarray:
     if n < width:  # dgbmv wants A to have >= 2 * reach + 1 rows: zero pad v
         x = np.zeros(width)
         x[:n] = v
-    return dgbmv(x.size, n, width // 2, width // 2, 1.0, band[:n].T, x, trans=1)
+    # optional arguments by position: as keywords they cost 0.6 of ~5 us at n = 301
+    return dgbmv(x.size, n, width // 2, width // 2, alpha, band[:n].T, x,
+                 1, 0, beta, y, 1, 0, 1, 1)  # incx, offx, beta, y, incy, offy, trans, overwrite_y
 
 
 def cache_dir() -> str:
@@ -140,8 +144,8 @@ class KernelTables:
         else:
             self.bw = 0
         self._rows_filled = 0
-        self._data = self._tail = np.zeros((0, 2 * self.bw + 1))
-        self._row_mass = np.zeros(0)
+        #: band rows over their masses (_normed) sit next to the raw rows that eigen reads
+        self._data = self._tail = self._normed = np.zeros((0, 2 * self.bw + 1))
         #: the solver's radial measure: |S^{N-1}|, and r_i^{N-1} on the storage's
         #: rows (_r_power, built by _reserve)
         self._sphere_area = kmod.unit_sphere_area(kernel.dim)
@@ -180,34 +184,32 @@ class KernelTables:
         if n_rows <= cap:
             return
         if self.banded:
-            cap, width = max(n_rows, 2 * cap + 16), 2 * self.bw + 1
-            grown = (np.zeros((cap, width)), np.zeros(cap), np.zeros((cap, width)))
-            for new, old in zip(grown, (self._data, self._row_mass, self._tail)):
-                new[:start] = old[:start]
-            self._data, self._row_mass, self._tail = grown
+            cap = max(n_rows, 2 * cap + 16)
+            self._data, self._tail, self._normed = (
+                np.pad(a[:start], ((0, cap - start), (0, 0)))
+                for a in (self._data, self._tail, self._normed))
         else:
             cap = -(-max(n_rows, int(1.5 * cap) + 16) // DENSE_BLOCK) * DENSE_BLOCK
-            grown = np.zeros((cap, cap))
-            grown[:start, :start] = self._data[:start, :start]
-            self._data = grown
+            self._data, old = np.zeros((cap, cap)), self._data  # pages untouched until filled
+            self._data[:start, :start] = old[:start, :start]
         self._r_power = (np.arange(cap) * self.dr) ** (self.kernel.dim - 1)
 
     def _append_band(self, rows: np.ndarray) -> None:
         """Store new band rows, from quadrature or a cache file, and derive theirs.
 
-        Each gets its mass and its tail row tail[i, k] = clip(dr * (band[i,
-        k:].sum() - band[i, k] / 2) / mass[i], 0, 1), the mass beyond band
-        column k.  The storage must already hold them (_reserve).
+        Each gets its row over its mass, conv's operator, and its tail row
+        tail[i, k] = clip(dr * (band[i, k:].sum() - band[i, k] / 2) / mass[i],
+        0, 1), the mass beyond band column k.  The storage must hold them (_reserve).
         """
         start = self._rows_filled
         stop = start + rows.shape[0]
-        self._data[start:stop] = rows
-        band = self._data[start:stop]
+        self._data[start:stop] = band = rows
         # a plain sum: the trapezoid where band endpoints are zero, but row 0 keeps
         # Jtilde(0, K) = 2 (disc) or 3 (ball) at weight dr, not dr / 2, so its
         # mass reads 1.05 and 1.07625 at dr = 0.05, where the trapezoid gives 1.0
         # and 1.00125
-        mass = self._row_mass[start:stop] = band.sum(axis=1) * self.dr
+        mass = band.sum(axis=1) * self.dr
+        self._normed[start:stop] = band / mass[:, None]
         beyond = np.cumsum(band[:, ::-1], axis=1)[:, ::-1]  # beyond[:, k] = band[:, k:].sum()
         self._tail[start:stop] = np.clip(self.dr * (beyond - 0.5 * band) / mass[:, None],
                                          0.0, 1.0)
@@ -325,17 +327,16 @@ class KernelTables:
         """Discrete full-line masses dr * trapz of rows i < n.
 
         The exact value is 1 for every row; the discrete mass deviates
-        by the trapezoid error at the kernel kinks.  Solver quadrature
-        divides by it so that the discretized operator conserves mass
-        exactly (the interior equilibrium stays at u_star and the
-        comparison structure is unchanged); band masses are computed
-        when their rows are filled.  Fat-tail rows are truncated by
-        storage, so their exact mass 1 is used directly.
+        by the trapezoid error at the kernel kinks.  conv's band rows are
+        divided by it at fill, so that the discretized operator conserves
+        mass exactly (the interior equilibrium stays at u_star and the
+        comparison structure is unchanged).  Fat-tail rows are truncated
+        by storage, so their exact mass 1 is used directly.
         """
         if not self.banded:
             return np.ones(n)
         self.ensure(n)
-        return self._row_mass[:n]
+        return self._data[:n].sum(axis=1) * self.dr
 
     def _kink_reach(self) -> int:
         """Half-width, in grid steps, of the kink-correction window and its ramp."""
@@ -386,20 +387,23 @@ class KernelTables:
         self._kink_corr = np.concatenate((self._kink_corr, self._window_mass[done:top] - trap))
         return self._kink_corr[:n]
 
-    def conv(self, weighted_u: np.ndarray) -> np.ndarray:
-        """Row-wise dot products sum_j Jtilde(r_i, rho_j) v_j, i < len(v).
+    def conv(self, weighted_u: np.ndarray, alpha: float = 1.0, beta: float = 0.0,
+             y: np.ndarray | None = None) -> np.ndarray:
+        """alpha * c + beta * y for the row-wise sums c_i = sum_j Jtilde(r_i, rho_j)
+        v_j / mass_i, i < len(v); y, when given, is overwritten, as in BLAS.
 
-        The caller supplies v = quadrature_weight * u; the result is the
+        The caller supplies v = quadrature_weight * u; c is the
         mass-normalized trapezoid approximation of
         int Jtilde(r_i, rho) u(rho) d rho at every grid node.  A band
-        table takes band_matvec of its stored rows over the row masses
-        built at fill.
+        table takes band_matvec of its rows over their masses, stored at
+        fill; a dense row's mass is 1.
         """
         n = weighted_u.size
         self.ensure(n, n)
-        if not self.banded:
-            return self._data[:n, :n] @ weighted_u
-        return band_matvec(self._data, weighted_u) / self._row_mass[:n]
+        if self.banded:
+            return band_matvec(self._normed, weighted_u, alpha, beta, y)
+        out = alpha * (self._data[:n, :n] @ weighted_u)
+        return out if y is None else np.add(out, beta * y, out=y)
 
     def _band_tails(self, n: int, j: float) -> tuple[int, np.ndarray]:
         """first and T(r_i, j*dr) of filled band rows first <= i < n; rows i < first

@@ -31,20 +31,21 @@ def _trapezoid_weights(m, dr, h):
     return w
 
 
-def _reference_slopes(u, h, cfg, tables):
+def _reference_slopes(u, h, cfg, tables, dt):
     """_slopes in its one-weight-vector form: the trapezoid weights w, then
-    w * u, r^{N-1} u and |S^{N-1}| built on every call."""
+    w * u, r^{N-1} u and |S^{N-1}| built on every call, and the Euler update
+    u + dt (d (conv - u) + f(u)) term by term."""
     m = u.size - 1
     dr = cfg.dr
     w = _trapezoid_weights(m, dr, h)
     conv = tables.conv(w * u)
-    dudt = cfg.d * (conv - u) + np.asarray(cfg.reaction(u))
+    update = u + dt * (cfg.d * (conv - u) + np.asarray(cfg.reaction(u)))
     nm1 = cfg.kernel.dim - 1
     ru = (np.arange(m + 1) * dr) ** nm1 * u
     tail = tables.tail_mass_vector(m + 1, h / dr)
     flux = float(np.dot(w, ru * tail))
     mass = unit_sphere_area(cfg.kernel.dim) * float(np.dot(w, ru))
-    return dudt, cfg.mu / h ** nm1 * flux, mass
+    return update, cfg.mu / h ** nm1 * flux, mass
 
 
 def test_slopes_match_the_reference_quadrature(tmp_path, rng):
@@ -67,13 +68,17 @@ def test_slopes_match_the_reference_quadrature(tmp_path, rng):
         assert loaded.load(path) and reloaded.load(path)
         assert loaded.rows_filled == reloaded.rows_filled == cached.rows_filled < 90
         cfg = _cfg(kernel=kernel, dr=dr, mu=1.7, d=1.3)
+        dt = default_dt(cfg)
         for tab, m in itertools.product((KernelTables(kernel, dr), loaded, reloaded),
                                         (1, 12, 90)):
             u = rng.uniform(0.0, 1.2, m + 1)
+            u_in = u.copy()
             for h in (m * dr, (m + 0.4) * dr):
-                dudt, hdot, mass = solver._slopes(u, h, cfg, tab)
-                ref_dudt, ref_hdot, ref_mass = _reference_slopes(u, h, cfg, tab)
-                assert np.array_equal(dudt, ref_dudt), (kernel.label, m, h)
+                update, hdot, mass = solver._slopes(u, h, cfg, tab, dt)
+                ref_update, ref_hdot, ref_mass = _reference_slopes(u, h, cfg, tab, dt)
+                assert np.array_equal(u, u_in)
+                assert np.all(np.abs(update - ref_update) <= 1e-14 * np.abs(ref_update)), \
+                    (kernel.label, m, h)
                 assert abs(hdot - ref_hdot) <= 1e-14 * abs(ref_hdot), (kernel.label, m, h)
                 assert abs(mass - ref_mass) <= 1e-14 * ref_mass, (kernel.label, m, h)
         # m = 90 grew the table loaded into empty storage past the file's rows
@@ -164,16 +169,17 @@ def test_rounding_dip_is_clipped_and_a_nonnegative_update_is_not(monkeypatch, ta
     cfg = _cfg(dr=0.1)
     state = SimState(t=0.0, h=0.25, u=np.array([1.0, 0.5, 1e-14]))
     # a dip of about -1e-14, far inside the 1e-12 rounding allowance
-    dudt = np.array([0.25, -0.5, -2e-14])
-    new = solver._advance(state, cfg, tables_disc2, 1.0, dudt, 0.0)
+    update = state.u + np.array([0.25, -0.5, -2e-14])
+    new = solver._advance(state, cfg, 1.0, update, 0.0)
     assert clips and new.u[2] == 0.0 and not np.signbit(new.u[2])
     assert np.array_equal(new.u[:2], [1.25, 0.0])
     # a nonnegative update is the Euler step itself, with no clip pass
     clips.clear()
-    dudt = np.array([0.25, -0.5, 2e-14])
-    new = solver._advance(state, cfg, tables_disc2, 1.0, dudt, 0.0)
+    update = state.u + np.array([0.25, -0.5, 2e-14])
+    expect = update.copy()
+    new = solver._advance(state, cfg, 1.0, update, 0.0)
     assert not clips
-    assert np.array_equal(new.u, state.u + 1.0 * dudt)
+    assert np.array_equal(new.u, expect)
     assert new.t == 1.0 and new.h == 0.25
 
 
@@ -566,6 +572,16 @@ def test_run_equals_a_loop_of_steps(monkeypatch, kernel, dr, h0):
     for (t, r, u), s in zip(traj.snapshots, states[::15]):
         assert np.array_equal(r, np.arange(s.u.size) * dr)
         assert np.array_equal(u, s.u)
+
+
+def test_banded_front_h_final_is_pinned():
+    # the reference run of acceptance criteria 6 and 7 (disc, N = 2, band
+    # table): the band conv, tail reads and the explicit update end to end.  A
+    # change that moves h(300) beyond 1e-12 relative must update the pin on purpose
+    pin = 35.06926444806911
+    traj = run(RunConfig(kernel=uniform_kernel(2), d=1.0, mu=1.0, reaction=logistic(),
+                         h0=4.0, dr=0.05, t_end=300.0))
+    assert abs(traj.h[-1] - pin) <= 1e-12 * pin, repr(traj.h[-1])
 
 
 def test_accelerated_front_h_final_is_pinned():

@@ -271,6 +271,29 @@ def test_band_conv_matches_row_trapezoid(kernel, after_longer):
         assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max(), n
 
 
+@pytest.mark.parametrize("kernel, dr", [(uniform_kernel(2), 0.05), (cosine_bump_kernel(2), 0.05),
+                                        (uniform_kernel(3), 0.1), (power_tail_kernel(2, 2.8), 0.25)],
+                         ids=["disc", "cosine", "ball", "power"])
+def test_conv_accumulates_into_y(kernel, dr):
+    # the BLAS form alpha conv(v) + beta y, written into y, on band tables below
+    # 2 bw + 1 rows (band_matvec's zero padding), at it and past it, and on a
+    # dense table
+    tab = KernelTables(kernel, dr)
+    bw = tab.bw
+    rng = np.random.default_rng(23)
+    sizes = (1, bw, 2 * bw, 2 * bw + 1, 2 * bw + 2, 5 * bw) if tab.banded else (1, 40, 70)
+    for n in sizes:
+        v = rng.uniform(0.0, 1.0, n)
+        y = rng.uniform(-1.0, 1.0, n)
+        for alpha, beta in [(1.0, 0.0), (0.037, 0.05), (-2.5, 1.0), (0.3, -0.7)]:
+            expect = alpha * tab.conv(v) + beta * y
+            out = y.copy()
+            got = tab.conv(v, alpha, beta, out)
+            assert got.shape == (n,)
+            assert np.array_equal(out, got), (n, alpha, beta)
+            assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max(), (n, alpha, beta)
+
+
 def test_band_steps_do_no_table_work(disc2, count_rows, monkeypatch):
     # once the rows exist, a step only reads the table: no row fill and no
     # cumulative sums of band rows
@@ -289,7 +312,7 @@ def test_band_steps_do_no_table_work(disc2, count_rows, monkeypatch):
     before = count_rows["calls"]
     monkeypatch.setattr(np, "cumsum", counting)
     for _ in range(100):
-        _slopes(u, (m + 0.4) * tab.dr, cfg, tab)
+        _slopes(u, (m + 0.4) * tab.dr, cfg, tab, 0.1)
     assert count_rows["calls"] == before
     assert not cumsums
 
