@@ -402,8 +402,9 @@ class KernelTables:
         self.ensure(n, n)
         if self.banded:
             return band_matvec(self._normed, weighted_u, alpha, beta, y)
-        out = alpha * (self._data[:n, :n] @ weighted_u)
-        return out if y is None else np.add(out, beta * y, out=y)
+        out = self._data[:n, :n] @ weighted_u
+        out *= alpha
+        return out if y is None else np.add(out, np.multiply(y, beta, out=y), out=y)
 
     def _band_tails(self, n: int, j: float) -> tuple[int, np.ndarray]:
         """first and T(r_i, j*dr) of filled band rows first <= i < n; rows i < first
