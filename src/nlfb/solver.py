@@ -13,10 +13,10 @@ fractional column h / dr.  The grid only grows: nodes crossed by h are
 appended with value 0, the boundary value at crossing time.  Each state
 is evaluated once: _slopes gives the Euler update, dh/dt and the mass from
 one set of weights, _advance clips an update that dipped below 0 and grows
-the grid, run records the rest.  A step builds no grid-only array: the
-update is conv(w * u, dt d, dt, f(u)) + (1 - dt d) u, one BLAS call into
-f(u)'s array; r_i^{N-1} and |S^{N-1}| come from the table, and a band flux
-sums only the <= 2 bw + 1 rows next to the boundary, the only ones leaking.
+the grid, run records the rest.  A step builds no grid-only array: one table
+read gives the tails at h and conv(w * u, dt d, dt, f(u)) in f(u)'s array, the
+update less (1 - dt d) u; r_i^{N-1} and |S^{N-1}| come from the table, and a band
+flux sums only the <= 2 bw + 1 rows next to the boundary, the only ones leaking.
 
 The explicit scheme is stable under dt * (d + Lip f) < 0.9 because the
 nonlocal operator is bounded; under that condition the update is also
@@ -110,19 +110,16 @@ def initial_state(cfg: RunConfig) -> SimState:
 def _slopes(u: np.ndarray, h: float, cfg: RunConfig, tables: KernelTables,
             dt: float) -> tuple[np.ndarray, float, float]:
     """One state's Euler update u + dt (d (conv - u) + f(u)), unclipped, dh/dt and mass."""
-    m = u.size - 1
-    dr = cfg.dr
+    m, dr = u.size - 1, cfg.dr
     # w * u for the trapezoid weights w on [0, h]: dr at the nodes, halved at
     # r = 0, and the boundary cell [r_m, h] added at r_m
     wu = u * dr
     wu[0] *= 0.5
     wu[m] = (0.5 * dr + 0.5 * (h - m * dr)) * u[m]
-    # dt d conv + dt f(u), accumulated into f(u) by one BLAS call, then (1 - dt d) u
-    u_new = tables.conv(wu, dt * cfg.d, dt, cfg.reaction.f(u))
+    # dt d conv + dt f(u), accumulated into f(u), then (1 - dt d) u; the tails at h
+    u_new, first, tails = tables._conv_tails(wu, h / dr, dt * cfg.d, dt, cfg.reaction.f(u))
     u_new += (1.0 - dt * cfg.d) * u
     wu *= tables._r_power[:m + 1]  # w r^{N-1} u, for the flux and the mass
-    first, tails = (tables._band_tails(m + 1, h / dr) if tables.banded
-                    else (0, tables.tail_mass_vector(m + 1, h / dr)))
     flux = float(np.dot(wu[first:], tails))
     mass = tables._sphere_area * float(wu.sum())
     return u_new, cfg.mu / h ** (cfg.kernel.dim - 1) * flux, mass

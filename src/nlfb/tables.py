@@ -6,44 +6,35 @@ Compactly supported kernels store only the diagonal band
 |r - rho| < support_radius (everything else is exactly zero); fat-tail
 kernels store a dense square block of rows and columns below
 rows_filled.  Rows are filled on demand into storage that grows in one
-place, _reserve.  A band table fills up to its capacity, so a caller
-that asks one row at a time still fills in batches, and it evaluates
-about FILL_BLOCK entries per kernel call.  A dense table fills the
-square block asked for in whole blocks of DENSE_BLOCK rows.
+place, _reserve: band rows as asked, in batches of about FILL_BLOCK
+entries per kernel call, dense blocks in whole DENSE_BLOCKs of rows.
 
 A new dense row i gets only its lower triangle j <= i; row 0 is the exact
-center formula, and the upper triangle is mirrored through the symmetry
-identity
+center formula, and the upper triangle is mirrored through
+r^{N-1} Jtilde(r, rho) = rho^{N-1} Jtilde(rho, r), so growing the table
+never evaluates old rows again.  Power tails interpolate the far field
+(_fill_dense).  Dense tables fill _kink_reach() rows ahead of the rows
+the solver reads, so every entry of a row's kink window is stored.
 
-    r^{N-1} Jtilde(r, rho) = rho^{N-1} Jtilde(rho, r),
-
-so growing the table copies the filled block and never evaluates old
-rows again.  Power tails interpolate the far field (_fill_dense).  Dense
-tables fill _kink_reach() rows ahead of the rows the solver reads: the
-kink window of row i reaches column i + reach, and every entry it reads
-is a stored one.
-
-The solver reads a table through conv (the quadrature of Jtilde * u)
-and tail_mass_vector (the tail masses beyond a boundary between columns).
-A band row is divided by its mass, and gets its tail row, once, when it
-is filled or loaded, so a step only reads: conv is one accumulating BLAS
-dgbmv on the divided rows, transposed Fortran band storage (band_matvec),
-and the tails at a column are read from the <= 2*bw tail rows that reach
-it as anti-diagonals, strided views of the tail block (_band_tails).  The
-storage also holds the solver's radial measure |S^{N-1}| r_i^{N-1}.
+A solver step reads conv (the quadrature of Jtilde * u) and the tail
+masses beyond the boundary (tail_mass_vector) in one call, _conv_tails.
+A band row is divided by its mass, and gets its tail row, when it is
+filled or loaded: conv is one accumulating BLAS dgbmv on the divided
+rows (band_matvec), and the tails are anti-diagonals of the tail rows
+(_band_tails).  A dense block is read once, times the two columns v and
+the trapezoid weights up to the boundary, and the kink correction is
+ramped only on the < _kink_reach() rows where the ramp is fractional
+(_dense_tails).  The storage also holds the solver's radial measure
+|S^{N-1}| r_i^{N-1}.
 
 A table can be persisted to a small binary cache file (format v7): a
 header naming the kernel, grid and block shape, the stored block row
 by row (band rows of width 2*bw + 1, or dense rows over the columns
 below rows_filled, a multiple of DENSE_BLOCK), then the dense kink
 corrections.  save() writes a temporary file and renames it into place;
-load() validates the whole file before adopting anything.  v3 to v7 keep
-the v2 layout under new tags, so stale numbers are not reused: v2 N = 3
-rows came from angular quadrature (~1e-13 off exact), v3 kink
-corrections from a graded angular rule (up to ~4e-10 off), v4 angular
-entries from order-48 panels on the cosine form of the chord (up to
-~7e-12 off), v5 dense files hold any number of rows, and v6 fat-tail
-entries came from per-entry angular edges (up to ~1.5e-15 apart).
+load() validates the whole file before adopting anything.  Every change
+to the stored numbers or layout took a new tag (v2 to v7), so files
+with stale numbers are not reused.
 """
 
 from __future__ import annotations
@@ -151,6 +142,8 @@ class KernelTables:
         self._sphere_area = kmod.unit_sphere_area(kernel.dim)
         self._kink_corr = np.zeros(0)
         self._window_mass = np.zeros(0)
+        #: (c - i) / reach on rows i = c - reach + 1 .. c - 1, the kink ramp (_dense_tails)
+        self._ramp = np.arange(self._kink_reach() - 1, 0, -1) / self._kink_reach()
         #: solves kept by eigen.find_L_star and solver._certificate: entries never change
         self._solved: dict = {}
 
@@ -263,26 +256,23 @@ class KernelTables:
     def ensure(self, n_rows: int, n_cols: int | None = None) -> None:
         """Fill rows 0..n_rows-1 (and, for dense tables, columns 0..n_cols-1).
 
-        A band table fills up to its capacity, growing it (_reserve) when
-        n_rows exceeds it.  A dense table fills the square block of
-        max(n_rows, n_cols) rows in whole DENSE_BLOCKs.
+        A band table fills them in batches of about FILL_BLOCK entries within
+        its capacity, grown by _reserve.  A dense table fills the square block
+        of max(n_rows, n_cols) rows in whole DENSE_BLOCKs.
         """
-        if self.banded:
-            if n_rows > self._rows_filled:
-                self._reserve(n_rows)
-                cap, step = self._data.shape[0], max(1, FILL_BLOCK // (2 * self.bw + 1))
-                for start in range(self._rows_filled, cap, step):
-                    self._append_band(self._band_rows(start, min(start + step, cap)))
-            return
-        n = n_rows if n_cols is None else max(n_rows, n_cols)
-        filled = self._rows_filled
-        if n <= filled:
-            return
-        n = -(-n // DENSE_BLOCK) * DENSE_BLOCK
-        self._reserve(n)
-        for b0 in range(filled, n, DENSE_BLOCK):
-            self._fill_dense(b0)
-        self._rows_filled = n
+        filled, n = self._rows_filled, max(n_rows, n_cols or 0)
+        if self.banded and n_rows > filled:
+            self._reserve(n_rows)
+            step = max(1, FILL_BLOCK // (2 * self.bw + 1))
+            stop = min(self._data.shape[0], max(n_rows, filled + step))
+            for start in range(filled, stop, step):
+                self._append_band(self._band_rows(start, min(start + step, stop)))
+        elif not self.banded and n > filled:
+            n = -(-n // DENSE_BLOCK) * DENSE_BLOCK
+            self._reserve(n)
+            for b0 in range(filled, n, DENSE_BLOCK):
+                self._fill_dense(b0)
+            self._rows_filled = n
 
     @property
     def rows_filled(self) -> int:
@@ -389,15 +379,11 @@ class KernelTables:
 
     def conv(self, weighted_u: np.ndarray, alpha: float = 1.0, beta: float = 0.0,
              y: np.ndarray | None = None) -> np.ndarray:
-        """alpha * c + beta * y for the row-wise sums c_i = sum_j Jtilde(r_i, rho_j)
-        v_j / mass_i, i < len(v); y, when given, is overwritten, as in BLAS.
-
-        The caller supplies v = quadrature_weight * u; c is the
-        mass-normalized trapezoid approximation of
-        int Jtilde(r_i, rho) u(rho) d rho at every grid node.  A band
-        table takes band_matvec of its rows over their masses, stored at
-        fill; a dense row's mass is 1.
-        """
+        """alpha * c + beta * y, c_i = sum_j Jtilde(r_i, rho_j) v_j / mass_i for i < len(v),
+        the mass-normalized trapezoid of int Jtilde(r_i, rho) u(rho) d rho when v
+        is the quadrature weights times u; y, when given, is overwritten, as in BLAS.
+        A band table takes band_matvec of its rows over their masses, stored at
+        fill; a dense row's mass is 1."""
         n = weighted_u.size
         self.ensure(n, n)
         if self.banded:
@@ -431,34 +417,53 @@ class KernelTables:
     def tail_mass_vector(self, n: int, j: float) -> np.ndarray:
         """T(r_i, j*dr) = int_{j*dr}^inf Jtilde(r_i, rho) d rho for rows i < n.
 
-        j may be fractional: T is then linear between the bracketing
-        columns lo = floor(j + 1e-9), the solver's boundary node, and
-        lo + 1; an integer j reads column j alone.  Compact kernels
-        integrate the stored band beyond the column, which is free of
-        cancellation, and divide by the row mass; the tail rows built at
-        fill hold this for every band column, and a column is read as an
-        anti-diagonal of them.  Fat tails use 1 - interior - kink correction
-        (the row integrates to 1 exactly).  Both are clamped to [0, 1].
+        j may be fractional: T is then linear between the bracketing columns
+        lo = floor(j + 1e-9), the solver's boundary node, and lo + 1; an integer
+        j reads column j alone.  A band tail, free of cancellation, is the band
+        beyond the column over the row mass, kept in tail rows at fill
+        (_band_tails); a dense tail is 1 - interior - kink correction, as a row
+        integrates to 1 (_dense_tails).  Both are clamped to [0, 1].
         """
         if self.banded:
             self.ensure(n)
             first, tails = self._band_tails(n, j)
             return np.concatenate((np.zeros(first), tails))
         lo = math.floor(j + 1e-9)
-        frac, dr = j - lo, self.dr
-        cols = np.arange(lo, lo + 1 + (frac != 0))
-        self.ensure(n, cols[-1] + 1)
-        data, reach = self._data[:n], self._kink_reach()
-        w = np.full(lo + 1, dr)  # trapezoid weights over [0, lo*dr]
-        w[[0, lo]] = 0.5 * dr
-        interior = data[:, :lo + 1] @ w
-        if frac:  # column lo + 1 adds one trapezoid to column lo's
-            interior = np.column_stack((interior, interior + dr / 2 * data[:, lo:lo + 2].sum(1)))
-        # the part of the peak-window defect that lies inside [0, c*dr]
-        ramp = np.minimum(np.maximum((cols - np.arange(n)[:, None]) / reach, 0.0), 1.0)
-        tails = 1.0 - interior.reshape(n, -1) - self._kink_corrections(n)[:, None] * ramp
-        tails = np.minimum(np.maximum(tails, 0.0), 1.0)
-        return tails[:, 0] + frac * (tails[:, -1] - tails[:, 0])
+        self.ensure(n, lo + 1 + (j != lo))
+        w = np.full(lo + 1, self.dr)  # trapezoid weights over [0, lo*dr]
+        w[[0, lo]] = 0.5 * self.dr
+        return self._dense_tails(self._data[:n, :lo + 1] @ w, lo, j - lo)
+
+    def _dense_tails(self, interior: np.ndarray, lo: int, frac: float) -> np.ndarray:
+        """tail_mass_vector at column lo + frac from the rows' trapezoids over [0, lo*dr]:
+        clip(1 - interior - ramp * kink_corr, 0, 1) at c = lo, lo + 1, where ramp =
+        clip((c - i) / reach, 0, 1) is 1 on rows i <= c - reach and 0 on i >= c."""
+        n, corr, tails = interior.size, self._kink_corrections(interior.size), []
+        for c in range(lo, lo + 1 + (frac != 0)):
+            if c > lo:  # column lo + 1 adds one trapezoid to column lo's
+                interior = interior + self.dr / 2 * (self._data[:n, lo] + self._data[:n, c])
+            t, k0 = 1.0 - interior, c - self._ramp.size  # k0: the first ramped row
+            whole, part = min(max(k0, 0), n), min(max(c, 0), n)
+            t[:whole] -= corr[:whole]
+            t[whole:part] -= corr[whole:part] * self._ramp[whole - k0:part - k0]
+            tails.append(np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t))
+        return tails[0] + frac * (tails[1] - tails[0]) if frac else tails[0]
+
+    def _conv_tails(self, weighted_u: np.ndarray, j: float, alpha: float, beta: float,
+                    y: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+        """conv(weighted_u, alpha, beta, y), then first and the tails as _band_tails
+        gives them, at a boundary column floor(j) = n - 1, n = len(weighted_u).  A
+        dense block is read once: times weighted_u and the trapezoid weights."""
+        n, lo = weighted_u.size, math.floor(j + 1e-9)
+        if self.banded:
+            return (self.conv(weighted_u, alpha, beta, y), *self._band_tails(n, j))
+        assert lo == n - 1, (lo, n)
+        self.ensure(n, n + 1)
+        x = np.full((n, 2), self.dr)
+        x[:, 0], x[0, 1], x[lo, 1] = weighted_u, 0.5 * self.dr, 0.5 * self.dr
+        both = self._data[:n, :n] @ x
+        return (np.add(both[:, 0] * alpha, np.multiply(y, beta, out=y), out=y), 0,
+                self._dense_tails(both[:, 1], lo, j - lo))
 
     # -- persistence ----------------------------------------------------------
 

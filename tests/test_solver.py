@@ -594,6 +594,17 @@ def test_accelerated_front_h_final_is_pinned():
     assert abs(traj.h[-1] - pin) <= 1e-12 * pin, repr(traj.h[-1])
 
 
+def test_exact_n3_accelerated_front_h_final_is_pinned():
+    # the N = 3 front of the fat_tail_front benchmark at amplitude 1 (beta = 3.8,
+    # dense table of exact N = 3 entries): the closed-form fill, kink corrections
+    # and the one-pass dense step end to end.  A change that moves h(60) beyond
+    # 1e-12 relative must update the pin on purpose
+    pin = 92.94946409373216
+    traj = run(RunConfig(kernel=power_tail_kernel(3, 3.8), d=1.0, mu=1.0, reaction=logistic(),
+                         h0=10.0, u0=lambda r: 1.0 - (r / 10.0) ** 8, dr=0.25, t_end=60.0))
+    assert abs(traj.h[-1] - pin) <= 1e-12 * pin, repr(traj.h[-1])
+
+
 @pytest.mark.parametrize("dim, dr", [(2, 0.05), (3, 0.1)])
 def test_mass_is_the_trapezoid_of_the_profile(dim, dr):
     # |S^{N-1}| int_0^h r^{N-1} u dr with the boundary cell [r_m, h], u(h) = 0

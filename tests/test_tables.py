@@ -206,6 +206,34 @@ def test_block_fill_matches_single_row_fill(tmp_path, kernel, dr):
     _assert_rows_match_single_row_fill(loaded, 120)
 
 
+@pytest.mark.parametrize("kernel", [uniform_kernel(2), cosine_bump_kernel(2)],
+                         ids=["disc2", "cos2"])
+def test_band_fill_stops_near_the_rows_asked_for(tmp_path, kernel, count_rows):
+    # a band table fills the rows asked for, in batches of step rows within its
+    # capacity, not the whole capacity; rows grown one at a time, or past rows
+    # loaded from a cache file, are the rows of one call
+    dr, n_max = 0.05, 200
+    once = KernelTables(kernel, dr)
+    step = max(1, 1024 // (2 * once.bw + 1))
+    once.ensure(n_max)
+    assert n_max <= once.rows_filled <= n_max + step
+    path = str(tmp_path / "t.nlfbkt")
+    cached = KernelTables(kernel, dr)
+    cached.ensure(30)
+    cached.save(path)
+    loaded = KernelTables(kernel, dr)
+    assert loaded.load(path)
+    for tab in (KernelTables(kernel, dr), loaded):
+        before, start = count_rows["calls"], tab.rows_filled
+        for n in range(1, n_max + 1):
+            tab.ensure(n)
+            assert n <= tab.rows_filled <= max(n + step, start), n
+        # batches of step rows, split at most at each of the capacity growths
+        assert count_rows["calls"] - before <= n_max // step + 6
+        for name in ("_data", "_tail", "_normed"):
+            assert np.array_equal(getattr(tab, name)[:n_max], getattr(once, name)[:n_max]), name
+
+
 def test_row_mass_close_to_one(tables_disc2):
     mass = tables_disc2.row_mass(60)
     assert np.all(np.abs(mass[1:] - 1.0) < 0.05)
@@ -375,6 +403,57 @@ def test_tail_mass_vector_at_fractional_column(kernel):
         for f in (0.0, 0.3, 0.999):
             got = tab.tail_mass_vector(n, j + f)
             assert np.abs(got - ((1.0 - f) * t_j + f * t_next)).max() <= 1e-15, (j, f)
+
+
+def _ramp_tails(tab, n, j):
+    """Dense tails by the full n x 2 ramp over both bracketing columns, with
+    the clamp and the interpolation on every row."""
+    lo = math.floor(j + 1e-9)
+    frac, dr = j - lo, tab.dr
+    cols = np.arange(lo, lo + 1 + (frac != 0))
+    tab.ensure(n, cols[-1] + 1)
+    data, reach = tab._data[:n], tab._kink_reach()
+    w = np.full(lo + 1, dr)
+    w[[0, lo]] = 0.5 * dr
+    interior = data[:, :lo + 1] @ w
+    if frac:
+        interior = np.column_stack((interior, interior + dr / 2 * data[:, lo:lo + 2].sum(1)))
+    ramp = np.minimum(np.maximum((cols - np.arange(n)[:, None]) / reach, 0.0), 1.0)
+    tails = 1.0 - interior.reshape(n, -1) - tab._kink_corrections(n)[:, None] * ramp
+    tails = np.minimum(np.maximum(tails, 0.0), 1.0)
+    return tails[:, 0] + frac * (tails[:, -1] - tails[:, 0])
+
+
+@pytest.mark.parametrize("dim, beta", [(2, 2.8), (2, 4.5), (3, 3.8)])
+def test_dense_tails_match_the_full_ramp(dim, beta, rng):
+    # the kink ramp only on the rows where it is fractional gives the full
+    # ramp's tails bit for bit, and a step's one product over the block gives
+    # conv and the tails of separate reads
+    tab = KernelTables(power_tail_kernel(dim, beta), 0.25)
+    reach = tab._kink_reach()
+    for n in (1, 2, reach - 1, reach, reach + 1, 40, 200):
+        for j in {n - 1, n - 0.63, n - 1 - 1e-11, n // 2, n // 2 + 0.5, n + 3, n + 7.25}:
+            assert np.array_equal(tab.tail_mass_vector(n, j), _ramp_tails(tab, n, j)), (n, j)
+        if n == 1:
+            continue  # a step has at least two nodes
+        wu, y = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
+        for j in (n - 1, n - 0.63):
+            ref = tab.conv(wu, 0.3, 0.7, y.copy())
+            got, first, tails = tab._conv_tails(wu, j, 0.3, 0.7, y.copy())
+            assert first == 0
+            assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), (n, j)
+            # 1 - interior: the product rounds relative to the row mass 1
+            assert np.abs(tails - tab.tail_mass_vector(n, j)).max() <= 1e-15, (n, j)
+    # the step's update against u + dt (d (conv - u) + f(u)) term by term
+    m, dr, dt = 150, tab.dr, 0.2
+    cfg = RunConfig(kernel=tab.kernel, d=1.3, mu=1.0, reaction=logistic(), h0=m * dr, dr=dr)
+    u = rng.uniform(0.0, 1.2, m + 1)
+    for h in (m * dr, (m + 0.4) * dr):
+        w = np.full(m + 1, dr)
+        w[0], w[m] = 0.5 * dr, 0.5 * dr + 0.5 * (h - m * dr)
+        ref = u + dt * (cfg.d * (tab.conv(w * u) - u) + cfg.reaction.f(u))
+        update, _, _ = _slopes(u, h, cfg, tab, dt)
+        assert np.all(np.abs(update - ref) <= 1e-14 * np.abs(ref)), h
 
 
 def test_cache_round_trip(tmp_path, disc2):
